@@ -1,20 +1,25 @@
-"""Alignment-stage wall-clock: per-pair loop vs batched SoA engine.
+"""Alignment-stage wall-clock: per-pair loop vs batched SoA engine vs the
+compiled x-drop kernel.
 
 The pipeline's hottest stage is the seed-and-extend x-drop alignment of
-every C nonzero (paper Section IV-D; our e2e bench spends most of its
-serial runtime there).  This micro-benchmark isolates that stage on the e2e
-bench dataset: it forms the candidate matrix once, then times
-``align_candidates`` under ``align_impl="loop"`` (one Python dispatch per
-pair — the reference oracle) against ``align_impl="batch"`` (one vectorized
-lockstep sweep per nnz-weighted chunk of pairs), for both alignment modes.
+every C nonzero (paper Section IV-D).  This micro-benchmark isolates that
+stage on the e2e bench dataset: it forms the candidate matrix once, then
+times ``align_candidates`` under ``align_impl="loop"`` (one Python dispatch
+per pair — the reference oracle) against ``align_impl="batch"`` with the
+numpy lockstep sweep (the compiled kernel's fallback) and with the compiled
+kernel of :mod:`repro.align.native` (the default whenever it builds), for
+both alignment modes.  Chain mode runs no x-drop kernel, so its compiled
+column repeats the batch engine.
 
-Beyond the timing table it asserts the engines' byte-identity contract and
-writes ``BENCH_align.json`` at the repo root for the cross-PR perf record.
+Beyond the timing table it asserts the byte-identity contract across all
+three and writes ``BENCH_align.json`` at the repo root for the cross-PR
+perf record.
 
-Acceptance gate: the batch engine must be ≥ ``MIN_ALIGN_SPEEDUP``× faster
-than the loop engine in x-drop mode.  The comparison is serial-vs-serial on
-one core, so the gate holds on any host; ``REPRO_BENCH_MIN_ALIGN_SPEEDUP``
-overrides the threshold (``0`` records without gating).
+Acceptance gate: the numpy batch sweep must be ≥ ``MIN_ALIGN_SPEEDUP``×
+faster than the loop engine in x-drop mode.  The comparison is
+serial-vs-serial on one core, so the gate holds on any host;
+``REPRO_BENCH_MIN_ALIGN_SPEEDUP`` overrides the threshold (``0`` records
+without gating).
 """
 
 import json
@@ -23,7 +28,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from repro.align import native
 from repro.core.overlap import (align_candidates, build_a_matrix,
                                 candidate_overlaps)
 from repro.eval.report import format_table
@@ -45,6 +52,10 @@ NPROCS = 4
 #: The PR's acceptance gate: batch vs loop in x-drop mode, serial, 1 core.
 MIN_ALIGN_SPEEDUP = 3.0
 
+#: Columns of the table: (label, align_impl, compiled kernel allowed).
+ENGINES = (("loop", "loop", False), ("batch", "batch", False),
+           ("compiled", "batch", True))
+
 
 def _candidates():
     _genome, reads, _layout = simulate_reads(
@@ -61,6 +72,11 @@ def _candidates():
     return reads, C, comm
 
 
+def _identical(a, b) -> bool:
+    return (np.array_equal(a.row, b.row) and np.array_equal(a.col, b.col)
+            and np.array_equal(a.vals, b.vals))
+
+
 def test_align_batch_speedup(benchmark):
     reads, C, comm = _candidates()
 
@@ -68,12 +84,15 @@ def test_align_batch_speedup(benchmark):
         walls: dict[tuple[str, str], float] = {}
         results: dict[tuple[str, str], object] = {}
         for mode in ("xdrop", "chain"):
-            for impl in ("loop", "batch"):
-                t0 = time.perf_counter()
-                R = align_candidates(C, reads, K, comm, StageTimer(),
-                                     mode=mode, impl=impl)
-                walls[(mode, impl)] = time.perf_counter() - t0
-                results[(mode, impl)] = R.to_global()
+            for label, impl, compiled in ENGINES:
+                with pytest.MonkeyPatch.context() as mp:
+                    if not compiled:
+                        mp.setattr(native, "load", lambda: None)
+                    t0 = time.perf_counter()
+                    R = align_candidates(C, reads, K, comm, StageTimer(),
+                                         mode=mode, impl=impl)
+                    walls[(mode, label)] = time.perf_counter() - t0
+                results[(mode, label)] = R.to_global()
         return walls, results
 
     walls, results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -83,32 +102,45 @@ def test_align_batch_speedup(benchmark):
         "dataset": {"genome_length": GENOME_LENGTH, "depth": DEPTH,
                     "error_rate": ERROR_RATE, "n_reads": len(reads),
                     "nnz_c": C.nnz(), "k": K, "nprocs": NPROCS},
+        # "compiled", or the numpy fallback (with its reason) that then
+        # fills the compiled column.
+        "compiled_kernel": native.kernel_name(),
         "modes": {},
     }
     rows = []
     for mode in ("xdrop", "chain"):
         gl = results[(mode, "loop")]
         gb = results[(mode, "batch")]
-        identical = (np.array_equal(gl.row, gb.row) and
-                     np.array_equal(gl.col, gb.col) and
-                     np.array_equal(gl.vals, gb.vals))
-        assert identical, f"{mode}: batch R diverged from loop R"
-        speedup = walls[(mode, "loop")] / max(walls[(mode, "batch")], 1e-9)
+        gc = results[(mode, "compiled")]
+        assert _identical(gl, gb), f"{mode}: batch R diverged from loop R"
+        assert _identical(gl, gc) and _identical(gb, gc), \
+            f"{mode}: compiled-kernel R diverged from loop / batch R"
+        loop_s, batch_s, comp_s = (walls[(mode, label)]
+                                   for label, _, _ in ENGINES)
+        speedup = loop_s / max(batch_s, 1e-9)
+        comp_speedup = batch_s / max(comp_s, 1e-9)
         rows.append({"mode": mode,
-                     "loop (s)": f"{walls[(mode, 'loop')]:.2f}",
-                     "batch (s)": f"{walls[(mode, 'batch')]:.2f}",
-                     "speedup": f"{speedup:.2f}x",
+                     "loop (s)": f"{loop_s:.2f}",
+                     "batch (s)": f"{batch_s:.2f}",
+                     "compiled (s)": f"{comp_s:.3f}",
+                     "batch/loop": f"{speedup:.2f}x",
+                     "compiled/batch": f"{comp_speedup:.2f}x",
                      "byte-identical": "yes"})
         record["modes"][mode] = {
-            "loop_seconds": round(walls[(mode, "loop")], 4),
-            "batch_seconds": round(walls[(mode, "batch")], 4),
+            "loop_seconds": round(loop_s, 4),
+            "batch_seconds": round(batch_s, 4),
+            "compiled_seconds": round(comp_s, 4),
             "speedup": round(speedup, 3),
+            "compiled_speedup_vs_batch": round(comp_speedup, 3),
+            "compiled_speedup_vs_loop": round(loop_s / max(comp_s, 1e-9),
+                                              3),
             "nnz_r": int(gb.nnz),
             "identical_to_loop": True,
+            "compiled_identical": True,
         }
 
     print(format_table(rows, title=(
-        f"Alignment stage: loop vs batch engine ({len(reads)} reads, "
+        f"Alignment stage: loop vs batch vs compiled ({len(reads)} reads, "
         f"{C.nnz()} candidate pairs, serial)")))
     JSON_PATH.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {JSON_PATH.name} (xdrop speedup "

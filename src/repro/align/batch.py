@@ -20,10 +20,15 @@ greedy Landau–Vishkin recurrence, the same chunked snake slide, the same
 score/tie-break/x-drop rules — only run over a 2D ``(problem, diagonal)``
 state with per-problem live masks.  Problems retire from the working set as
 their diagonal sets die, so the arrays shrink as the batch drains and the
-cost converges to the serial engine's per-problem work.  The per-pair path
-stays the reference oracle behind the ``loop | batch | auto`` switch
-(:func:`resolve_align_impl`), and the parity suite pins byte-identical
-results between the two.
+cost converges to the serial engine's per-problem work.
+
+:func:`extend_seeds_xdrop_batch`, the pipeline's entry point, hands the
+same structure-of-arrays batch to the compiled kernel of
+:mod:`repro.align.native` (built on first use, GIL released) and keeps
+:func:`xdrop_extend_batch` as its fallback when no C compiler is usable and
+as its parity oracle.  The per-pair path stays the reference oracle behind
+the ``loop | batch | auto`` switch (:func:`resolve_align_impl`), and the
+parity suite pins byte-identical results between the two.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import os
 
 import numpy as np
 
+from . import native
 from .xdrop import LV_NEG, SNAKE_CHUNK, Scoring
 
 __all__ = [
@@ -302,8 +308,10 @@ def extend_seeds_xdrop_batch(codes: np.ndarray, a_base: np.ndarray,
     ``pa`` / ``pb`` are seed k-mer starts on each pair's read ``a`` and on
     the **forward** read ``b``; strand-1 seeds are mapped onto the oriented
     ``b`` without materializing a reverse complement.  Left and right
-    extensions of every seed enter one :func:`xdrop_extend_batch` sweep
-    (reversed-prefix left problems are just ``step = -1`` views).  Returns
+    extensions of every seed enter one batched x-drop call (reversed-prefix
+    left problems are just ``step = -1`` views): the compiled kernel when
+    :func:`repro.align.native.load` provides it, else
+    :func:`xdrop_extend_batch`, with identical results.  Returns
     per-seed ``(score, ba, ea, bb, eb)`` with coordinates on ``a`` and the
     oriented ``b``, element-wise equal to the per-pair engine.
     """
@@ -327,8 +335,10 @@ def extend_seeds_xdrop_batch(codes: np.ndarray, a_base: np.ndarray,
     t_len = np.concatenate([np.maximum(0, b_len - pbo - k),
                             np.minimum(pbo, b_len)])
     t_xor = np.concatenate([3 * strand, 3 * strand])
-    bests, ext_s, ext_t = xdrop_extend_batch(
-        codes, s_base, s_step, s_len, t_base, t_step, t_len, t_xor, sc)
+    lib = native.load()
+    args = (codes, s_base, s_step, s_len, t_base, t_step, t_len, t_xor, sc)
+    bests, ext_s, ext_t = (xdrop_extend_batch(*args) if lib is None
+                           else native.xdrop_extend_compiled(lib, *args))
     r_sc, r_ea, r_eb = bests[:n_seed], ext_s[:n_seed], ext_t[:n_seed]
     l_sc, l_ea, l_eb = bests[n_seed:], ext_s[n_seed:], ext_t[n_seed:]
     score = seed_score + r_sc + l_sc

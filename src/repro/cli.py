@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .align import native
 from .align.batch import ALIGN_IMPLS
 from .core.contigs import extract_contigs
 from .core.memory import (OVERLAP_MODES, apportion_budget, format_bytes,
@@ -304,8 +305,12 @@ def _run(args):
 def _print_stats(result, machine_name: str) -> None:
     machine = MACHINES[machine_name]
     print(f"reads: {result.n_reads}   reliable k-mers: {result.n_kmers}")
-    print(f"alignment: {result.config.align_mode} mode, "
-          f"{result.align_impl} engine")
+    align = (f"alignment: {result.config.align_mode} mode, "
+             f"{result.align_impl} engine")
+    if result.config.align_mode == "xdrop" and result.align_impl == "batch":
+        # The numpy fallback is ~20x slower; never let it run unannounced.
+        align += f", x-drop kernel: {native.kernel_name()}"
+    print(align)
     print(f"k-mer counting: {result.kmer_impl} engine")
     print(f"spgemm: {result.spgemm_impl} engine")
     if result.seed_mode == "full":

@@ -10,10 +10,11 @@ list:
 * :class:`SerialExecutor` — the deterministic reference (and default): a
   plain in-order loop with zero overhead.
 * :class:`ThreadExecutor` — a ``concurrent.futures`` thread pool; wins when
-  the tasks spend their time in numpy/scipy kernels that release the GIL.
-* :class:`ProcessExecutor` — a fork-safe process pool for pure-Python-heavy
-  tasks (the x-drop loop); chunks are pickled to workers, results shipped
-  back.
+  the tasks spend their time in kernels that release the GIL (numpy/scipy,
+  the compiled x-drop kernel).
+* :class:`ProcessExecutor` — a fork-safe process pool for tasks that hold
+  the GIL (the per-pair x-drop loop); chunks are pickled to workers,
+  results shipped back.
 
 All three share one contract, which is what makes ``--workers`` a pure
 performance axis:

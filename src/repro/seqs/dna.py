@@ -2,9 +2,9 @@
 
 Sequences are handled in two representations:
 
-* **ASCII strings** over the alphabet ``ACGT`` (plus ``N`` on input, which is
-  replaced by a random base at ingestion time, matching common long-read
-  pipeline behaviour), and
+* **ASCII strings** over the alphabet ``ACGT`` (FASTA ingest refuses ``N``
+  and other IUPAC codes, naming the record and position, rather than
+  rewriting them into bases that would seed false candidates), and
 * **2-bit code arrays**: ``numpy`` ``uint8`` arrays with ``A=0, C=1, G=2,
   T=3``.  All hot paths (k-mer extraction, reverse complement, hashing)
   operate on code arrays and are fully vectorized.
@@ -39,12 +39,15 @@ for _i, _b in enumerate(ALPHABET):
 _DEC = np.frombuffer(ALPHABET.encode(), dtype=np.uint8)
 
 
-def encode(seq: str | bytes, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Encode an ACGT string into a 2-bit code array.
+def encode(seq: str | bytes, rng: np.random.Generator | None = None, *,
+           strict: bool = False) -> np.ndarray:
+    """Encode an ACGT string into a 2-bit code array (case-insensitive).
 
-    ``N`` (or any non-ACGT byte) is replaced with a random base when ``rng``
-    is given, otherwise with ``A``.  Long-read data contains occasional N
-    calls; replacing them keeps every downstream array dense.
+    With ``strict`` any other byte (``N``, IUPAC codes, garbage) raises
+    :class:`ValueError` naming the first one and its 1-based position —
+    the FASTA ingest mode.  Otherwise such bytes are replaced with a random
+    base when ``rng`` is given, else with ``A`` (what the service's
+    ``ingest`` still does).
 
     Parameters
     ----------
@@ -52,6 +55,8 @@ def encode(seq: str | bytes, rng: np.random.Generator | None = None) -> np.ndarr
         Sequence as ``str`` or ``bytes``.
     rng:
         Optional generator used to fill non-ACGT positions.
+    strict:
+        Refuse non-ACGT bytes instead of substituting them.
 
     Returns
     -------
@@ -64,6 +69,10 @@ def encode(seq: str | bytes, rng: np.random.Generator | None = None) -> np.ndarr
     codes = _ENC[raw]
     bad = codes == 255
     if bad.any():
+        if strict:
+            pos = int(np.argmax(bad))
+            raise ValueError(f"non-ACGT base {chr(raw[pos])!r} at position "
+                             f"{pos + 1}")
         if rng is None:
             codes = np.where(bad, np.uint8(0), codes)
         else:

@@ -15,9 +15,11 @@ streams a FASTA file straight into a store — at no point are all bases
 resident — which is how the pipeline ingests inputs larger than memory.
 
 The parser is strict: empty records, duplicate headers, nameless headers,
-and sequence data before the first header all raise :class:`ValueError`
-naming the offending record.  Zero-length reads would otherwise flow
-silently into k-mer extraction and alignment as degenerate rows.
+sequence data before the first header, and non-ACGT bases (``N``, IUPAC
+codes) all raise :class:`ValueError` naming the offending record.
+Zero-length reads would otherwise flow silently into k-mer extraction and
+alignment as degenerate rows, and rewritten ``N`` runs would become
+poly-A k-mers that seed false candidates.
 """
 
 from __future__ import annotations
@@ -268,6 +270,8 @@ def _fasta_records(source):
     * a bare ``>`` with no name,
     * two records with the same name (row indices would silently alias),
     * sequence data before any header.
+
+    Bases are checked where they are encoded (:func:`_encode_record`).
     """
     seen: set[str] = set()
     name: str | None = None
@@ -306,12 +310,24 @@ def _fasta_records(source):
         yield name, "".join(cur)
 
 
+def _encode_record(name: str, seq: str) -> np.ndarray:
+    """2-bit codes of one record; ``N``, IUPAC codes and any other non-ACGT
+    byte raise :class:`ValueError` naming the record and the 1-based
+    position, never silently rewritten into a base."""
+    try:
+        return encode(seq, strict=True)
+    except ValueError as exc:
+        raise ValueError(f"malformed FASTA: record {name!r} has a "
+                         f"{exc}") from None
+
+
 def read_fasta(source: str | Path | io.TextIOBase) -> ReadSet:
     """Parse a FASTA file (or open text handle) into an in-memory ReadSet.
 
     Malformed input — empty records, duplicate or nameless headers,
-    sequence before the first header — raises :class:`ValueError` naming
-    the offending record.  An empty file parses as an empty ReadSet.
+    sequence before the first header, non-ACGT bases such as ``N`` —
+    raises :class:`ValueError` naming the offending record.  An empty file
+    parses as an empty ReadSet.
     """
     if isinstance(source, (str, Path)):
         with open(source) as fh:
@@ -320,7 +336,7 @@ def read_fasta(source: str | Path | io.TextIOBase) -> ReadSet:
     seqs: list[np.ndarray] = []
     for name, seq in _fasta_records(source):
         names.append(name)
-        seqs.append(encode(seq))
+        seqs.append(_encode_record(name, seq))
     return ReadSet(names, seqs)
 
 
@@ -342,7 +358,7 @@ def read_fasta_to_store(source: str | Path | io.TextIOBase,
     try:
         for name, seq in _fasta_records(source):
             names.append(name)
-            writer.add_read(encode(seq))
+            writer.add_read(_encode_record(name, seq))
     except BaseException:
         writer.abort()
         raise

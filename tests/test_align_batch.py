@@ -1,5 +1,10 @@
 """Parity suite: batched alignment engine vs per-pair loop vs DP oracle.
 
+The compiled x-drop kernel (:mod:`repro.align.native`) is held to the same
+contract: identical to the numpy batch sweep and to the 1D engine on
+random batches, and the numpy sweep takes over — announced, with its
+reason — whenever the kernel cannot be built.
+
 The batch engine's contract is *byte identity* with the per-pair reference
 for every input — same R entries, same coordinates, same payloads — since
 ``align_impl`` must be a pure performance axis.  These tests pin that
@@ -9,10 +14,19 @@ get wrong: empty batches, empty extension sides, pairs that all retire in
 round 0, and filters that prune everything.
 """
 
+import itertools
+import os
+import subprocess
+import sys
+import sysconfig
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.align import batch as batch_mod
+from repro.align import native
 from repro.align.batch import (chain_extend_batch, extend_seeds_xdrop_batch,
                                resolve_align_impl, xdrop_extend_batch)
 from repro.align.xdrop import (Scoring, chain_extend, seed_extend_align,
@@ -126,6 +140,257 @@ def test_batch_kernel_mixed_lifetimes():
     for p, (s, t) in enumerate(probs):
         assert (int(best[p]), int(ei[p]), int(ej[p])) == \
             xdrop_extend(s, t, SC)
+
+
+# ---------------------------------------------------------------------------
+# Compiled kernel: native.xdrop_extend_compiled vs the numpy sweep vs 1D.
+# ---------------------------------------------------------------------------
+
+#: Non-default scoring schemes the kernels must agree under.
+SCORINGS = [SC, Scoring(mismatch=-2, gap=-1, xdrop=5),
+            Scoring(match=2, mismatch=-3, gap=-2, xdrop=20),
+            Scoring(xdrop=0)]
+
+
+def _mutate(rng, s, n_edits, alphabet):
+    t = s.copy()
+    for _ in range(n_edits):
+        p = int(rng.integers(0, t.size + 1))
+        op = int(rng.integers(0, 3))
+        if op == 0 and p < t.size:
+            t[p] = (t[p] + int(rng.integers(1, 4))) % alphabet
+        elif op == 1 and p < t.size:
+            t = np.delete(t, p)
+        else:
+            t = np.insert(t, p, int(rng.integers(0, alphabet)))
+    return t.astype(np.uint8)
+
+
+def _batch_of(pairs, rng):
+    """Pack ``(s, t)`` pairs into one SoA batch, each side stored forward or
+    reversed (``step = ±1``) and t optionally complemented (``xor = 3``)."""
+    parts, cols = [], []
+    off = 0
+    for s, t in pairs:
+        s_step = int(rng.choice([1, -1]))
+        t_step = int(rng.choice([1, -1]))
+        xor = int(rng.choice([0, 3]))
+        s_st = s[::s_step]
+        t_st = (t ^ np.uint8(xor))[::t_step]
+        s_base = off if s_step == 1 else off + s.size - 1
+        off += s.size
+        t_base = off if t_step == 1 else off + t.size - 1
+        off += t.size
+        parts += [s_st, t_st]
+        cols.append((s_base, s_step, s.size, t_base, t_step, t.size, xor))
+    codes = np.concatenate(parts).astype(np.uint8) if parts else \
+        np.empty(0, np.uint8)
+    arrs = np.array(cols, np.int64).reshape(-1, 7).T
+    return (codes, *arrs)
+
+
+def _view(codes, base, step, length, xor=0):
+    return codes[base + np.arange(length, dtype=np.int64) * step] ^ \
+        np.uint8(xor)
+
+
+def _assert_kernels_agree(batch, sc):
+    """numpy sweep == 1D engine per problem; compiled == numpy when built."""
+    ref = xdrop_extend_batch(*batch, sc)
+    codes, sb, ss, sl, tb, ts, tl, tx = batch
+    for p in range(sb.shape[0]):
+        s = _view(codes, sb[p], ss[p], sl[p])
+        t = _view(codes, tb[p], ts[p], tl[p], tx[p])
+        assert tuple(int(col[p]) for col in ref) == xdrop_extend(s, t, sc)
+    lib = native.load()
+    if lib is not None:
+        got = native.xdrop_extend_compiled(lib, *batch, sc)
+        for want, have in zip(ref, got):
+            assert np.array_equal(want, have)
+    return ref
+
+
+def _random_pairs(rng, n_prob, max_len, alphabet):
+    pairs = []
+    for _ in range(n_prob):
+        s = rng.integers(0, alphabet, int(rng.integers(0, max_len + 1))
+                         ).astype(np.uint8)
+        if rng.random() < 0.2:        # unrelated sequences: early death
+            t = rng.integers(0, alphabet, int(rng.integers(0, max_len + 1))
+                             ).astype(np.uint8)
+        else:
+            t = _mutate(rng, s, int(rng.integers(0, max_len // 4 + 2)),
+                        alphabet)
+        pairs.append((s, t))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 31), st.integers(0, 10),
+       st.sampled_from([4, 30, 160]), st.sampled_from([1, 2, 4]),
+       st.sampled_from(range(len(SCORINGS))))
+def test_compiled_kernel_parity_random(seed, n_prob, max_len, alphabet,
+                                       sc_idx):
+    """Random batches — strided and complemented views, empty sides,
+    low-complexity (tie-heavy) alphabets, non-default scoring."""
+    rng = np.random.default_rng(seed)
+    batch = _batch_of(_random_pairs(rng, n_prob, max_len, alphabet), rng)
+    _assert_kernels_agree(batch, SCORINGS[sc_idx])
+
+
+@pytest.mark.parametrize("sc", SCORINGS[:2])
+def test_compiled_kernel_exhaustive_short(sc):
+    """Every pair of ``ACG`` strings up to length 3, empty sides included.
+    Short mismatching pairs run the sweep to its last allowed round
+    (``e = m + n``), so the edit budget is exercised on both kernels."""
+    seqs = [np.array(w, np.uint8) for n in range(4)
+            for w in itertools.product(range(3), repeat=n)]
+    pairs = list(itertools.product(seqs, seqs))
+    best, _, _ = _assert_kernels_agree(
+        _batch_of(pairs, np.random.default_rng(0)), sc)
+    empty = np.array([s.size == 0 or t.size == 0 for s, t in pairs])
+    assert not best[empty].any()
+
+
+def _kernel_task(sc, batch):
+    lib = native.load()
+    assert lib is not None
+    return native.xdrop_extend_compiled(lib, *batch, sc)
+
+
+@pytest.fixture(scope="module", params=["serial", "thread", "process"])
+def kernel_executor(request):
+    with get_executor(request.param, 2) as ex:
+        yield ex
+
+
+@settings(max_examples=8, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(st.integers(0, 2 ** 31))
+def test_compiled_kernel_identical_across_executors(kernel_executor, seed):
+    """Chunks of one batch on serial, thread (the GIL is released) and
+    process workers reassemble to the single-call numpy result."""
+    if native.load() is None:
+        pytest.skip(f"x-drop kernel not built: {native.kernel_name()}")
+    rng = np.random.default_rng(seed)
+    batches = [_batch_of(_random_pairs(rng, 6, 120, 4), rng)
+               for _ in range(4)]
+    got = kernel_executor.run(_kernel_task, batches, context=SC)
+    for batch, have in zip(batches, got):
+        for want, col in zip(xdrop_extend_batch(*batch, SC), have):
+            assert np.array_equal(want, col)
+
+
+def test_compiled_kernel_rejects_views_outside_buffer():
+    """Raw pointers must never leave the code buffer: a view that would is
+    refused before the kernel runs (empty-side problems read nothing)."""
+    lib = native.load()
+    if lib is None:
+        pytest.skip(f"x-drop kernel not built: {native.kernel_name()}")
+    codes = np.zeros(10, np.uint8)
+    one = np.ones(1, np.int64)
+
+    def run(s_base, s_step, s_len, t_len=4):
+        return native.xdrop_extend_compiled(
+            lib, codes, np.array([s_base]), np.array([s_step]),
+            np.array([s_len]), np.zeros(1, np.int64), one,
+            np.array([t_len]), np.zeros(1, np.int64), SC)
+
+    with pytest.raises(ValueError, match="leaves the 10-byte code buffer"):
+        run(8, 1, 3)
+    with pytest.raises(ValueError, match="leaves the 10-byte code buffer"):
+        run(1, -1, 3)
+    assert [int(c[0]) for c in run(1, -1, 3, t_len=0)] == [0, 0, 0]
+    assert [int(c[0]) for c in run(9, -1, 10)] == [4, 4, 4]
+
+
+def _seed_problem():
+    rng = np.random.default_rng(7)
+    reads = _overlapping_readset(rng, n_reads=4)
+    codes, offsets, lengths = _soa(reads)
+    gi = np.array([0, 1, 2, 3, 0], np.int64)
+    gj = np.array([1, 2, 3, 0, 2], np.int64)
+    pa = np.minimum(lengths[gi] - K, 40)
+    pb = np.minimum(lengths[gj] - K, 25)
+    strand = np.array([0, 1, 0, 1, 1], np.int64)
+    args = (codes, offsets[gi], lengths[gi], offsets[gj], lengths[gj], pa,
+            pb, strand, K, SC)
+    want = []
+    for t in range(gi.size):
+        ref = seed_extend_align(reads[int(gi[t])], reads[int(gj[t])],
+                                int(pa[t]), int(pb[t]), K, int(strand[t]),
+                                SC)
+        want.append((ref.score, ref.ba, ref.ea, ref.bb, ref.eb))
+    return args, want
+
+
+def _columns(got):
+    return [tuple(int(col[t]) for col in got) for t in range(got[0].size)]
+
+
+def test_compile_failure_falls_back_to_numpy(monkeypatch, tmp_path):
+    """A compiler that fails leaves a recorded reason and the numpy sweep
+    computing the same results; nothing half-built lands in the cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_state", None)
+    monkeypatch.setattr(native, "compiler", lambda: ["/bin/false"])
+    args, want = _seed_problem()
+    assert _columns(extend_seeds_xdrop_batch(*args)) == want
+    assert native.load() is None
+    name = native.kernel_name()
+    assert name.startswith("numpy (build failed: /bin/false exited")
+    assert not list((tmp_path / "repro").iterdir())
+
+
+def test_stubbed_compiler_counts_as_absent(monkeypatch, tmp_path):
+    monkeypatch.setenv("CC", "/bin/false")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_state", None)
+    assert native.compiler() is None
+    assert native.load() is None
+    assert native.kernel_name() == \
+        "numpy (no working C compiler (CC=/bin/false))"
+
+
+def test_concurrent_first_use_builds_once(monkeypatch, tmp_path):
+    """First use from several threads and processes at once into an empty
+    cache: one library per process (the loader's lock), one file in the
+    cache (temp name + atomic rename), no temp file left behind."""
+    if native.compiler() is None:
+        pytest.skip("no working C compiler")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_state", None)
+    code = ("from repro.align import native; "
+            "print(native.kernel_name())")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env,
+                              stdout=subprocess.PIPE, text=True)
+             for _ in range(3)]
+    with ThreadPoolExecutor(max_workers=6) as pool:
+        libs = list(pool.map(lambda _: native.load(), range(6)))
+    outs = [p.communicate(timeout=120)[0].strip() for p in procs]
+    assert outs == ["compiled"] * 3
+    assert libs[0] is not None and all(lib is libs[0] for lib in libs)
+    assert [f.suffix for f in (tmp_path / "repro").iterdir()] == \
+        [sysconfig.get_config_var("SHLIB_SUFFIX") or ".so"]
+
+
+def test_compiled_kernel_used_when_compiler_found(monkeypatch):
+    """No silent fallback: wherever the loader's probe finds a compiler,
+    the pipeline's x-drop entry point runs the compiled kernel."""
+    if native.compiler() is None:
+        assert native.kernel_name().startswith("numpy (")
+        return
+    assert native.kernel_name() == "compiled"
+
+    def numpy_sweep(*_args):
+        raise AssertionError("numpy x-drop fallback ran")
+
+    monkeypatch.setattr(batch_mod, "xdrop_extend_batch", numpy_sweep)
+    args, want = _seed_problem()
+    assert _columns(extend_seeds_xdrop_batch(*args)) == want
 
 
 # ---------------------------------------------------------------------------

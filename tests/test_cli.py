@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.align import native
 from repro.cli import build_parser, main
 from repro.core.pipeline import PipelineConfig
 
@@ -113,6 +114,24 @@ def test_stats_prints_kmer_engine(tmp_path, capsys):
                "--kmer-impl", "loop"])
     assert rc == 0
     assert "k-mer counting: loop engine" in capsys.readouterr().out
+
+
+def test_stats_names_xdrop_kernel(tmp_path, capsys):
+    """The x-drop kernel that ran is on the alignment line: "compiled", or
+    the numpy fallback with its reason — a 20x slowdown is never silent."""
+    reads = tmp_path / "reads.fa"
+    main(["simulate", str(reads), "--genome-length", "6000",
+          "--depth", "8", "--error-rate", "0.0", "--seed", "2"])
+    common = ["stats", str(reads), "--nprocs", "1", "--fuzz", "20",
+              "--depth-hint", "8", "--error-hint", "0.0",
+              "--align-impl", "batch"]
+    capsys.readouterr()
+    assert main(common + ["--align-mode", "xdrop"]) == 0
+    assert (f"alignment: xdrop mode, batch engine, x-drop kernel: "
+            f"{native.kernel_name()}\n") in capsys.readouterr().out
+    assert main(common + ["--align-mode", "chain"]) == 0
+    assert "alignment: chain mode, batch engine\n" in \
+        capsys.readouterr().out
 
 
 def test_parser_memory_budget_suffixes():

@@ -7,6 +7,7 @@ import pytest
 
 from repro import PipelineConfig, run_pipeline
 from repro.core.overlap import build_a_matrix, candidate_overlaps
+from repro.core.pipeline import run_pipeline_from_fasta
 from repro.core.string_graph import StringGraph
 from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
@@ -119,8 +120,14 @@ def test_transitive_reduction_two_node_graph_untouched():
     assert res.S.nnz() == 2  # nothing to reduce without a 2-hop path
 
 
-def test_pipeline_with_n_bases_in_input():
-    rs = read_fasta(io.StringIO(
-        ">a\n" + "ACGTN" * 60 + "\n>b\n" + "ACGTN" * 60 + "\n"))
-    res = run_pipeline(rs, PipelineConfig(k=17, nprocs=1, kmer_upper=20))
-    assert res.n_reads == 2  # no crash; Ns replaced at encode time
+def test_pipeline_with_n_bases_in_input(tmp_path):
+    # N bases are refused at ingest, naming record and position, by both
+    # read stores: rewriting them (formerly to A) turned N-runs into poly-A
+    # k-mers.
+    fa = tmp_path / "reads.fa"
+    fa.write_text(">a\n" + "ACGTN" * 60 + "\n>b\n" + "ACGTN" * 60 + "\n")
+    for store in ("inmem", "mmap"):
+        with pytest.raises(ValueError, match="record 'a' has a non-ACGT "
+                                             "base 'N' at position 5"):
+            run_pipeline_from_fasta(fa, PipelineConfig(
+                k=17, nprocs=1, kmer_upper=20, read_store=store))

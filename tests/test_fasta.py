@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.seqs.dna import decode, encode
 from repro.seqs.fasta import (ReadSet, chunked_read_ranges, read_fasta,
-                              write_fasta)
+                              read_fasta_to_store, write_fasta)
 
 
 def _toy_reads():
@@ -143,6 +143,36 @@ def test_read_fasta_rejects_nameless_header():
 def test_read_fasta_rejects_data_before_header():
     with pytest.raises(ValueError, match="before any '>' header"):
         read_fasta(io.StringIO("ACGT\n>a\nACGT\n"))
+
+
+# Non-ACGT bases are refused, never rewritten: encode() without an rng used
+# to turn every N or IUPAC code into A, so an N-run became a poly-A run.
+
+@pytest.mark.parametrize("seq,bad,pos", [("ACGTN", "N", 5),
+                                         ("ACG\nTRAC", "R", 5),
+                                         ("nacgt", "n", 1)])
+def test_read_fasta_rejects_non_acgt(seq, bad, pos):
+    with pytest.raises(ValueError, match=f"record 'b' has a non-ACGT base "
+                                         f"'{bad}' at position {pos}$"):
+        read_fasta(io.StringIO(f">a\nACGT\n>b\n{seq}\n>c\nTT\n"))
+
+
+def test_read_fasta_to_store_rejects_non_acgt(tmp_path):
+    store = tmp_path / "store"
+    with pytest.raises(ValueError, match="record 'r1' has a non-ACGT base "
+                                         "'N' at position 3"):
+        read_fasta_to_store(io.StringIO(">r0\nACGT\n>r1\nACNNGT\n"),
+                            str(store))
+    # The partial build is discarded, not left behind as a store.
+    assert not list(store.iterdir())
+
+
+def test_encode_strict_names_first_bad_base():
+    assert np.array_equal(encode("acGT", strict=True), [0, 1, 2, 3])
+    with pytest.raises(ValueError, match="'Y' at position 2$"):
+        encode("AYNA", strict=True)
+    # The lenient mode (synthetic inputs only) still substitutes.
+    assert np.array_equal(encode("AN"), [0, 0])
 
 
 def test_read_fasta_empty_file_is_empty_readset():

@@ -4,12 +4,12 @@ compiled x-drop kernel.
 The pipeline's hottest stage is the seed-and-extend x-drop alignment of
 every C nonzero (paper Section IV-D).  This micro-benchmark isolates that
 stage on the e2e bench dataset: it forms the candidate matrix once, then
-times ``align_candidates`` under ``align_impl="loop"`` (one Python dispatch
-per pair — the reference oracle) against ``align_impl="batch"`` with the
-numpy lockstep sweep (the compiled kernel's fallback) and with the compiled
-kernel of :mod:`repro.align.native` (the default whenever it builds), for
-both alignment modes.  Chain mode runs no x-drop kernel, so its compiled
-column repeats the batch engine.
+times the per-pair reference engine (``tests/reference/align.py``, one
+Python dispatch per pair) against the pipeline's ``align_candidates`` with
+the numpy lockstep sweep (the compiled kernel's fallback) and with the
+compiled kernel of :mod:`repro.align.native` (the default whenever it
+builds), for both alignment modes.  Chain mode runs no x-drop kernel, so
+its compiled column repeats the batch engine.
 
 Beyond the timing table it asserts the byte-identity contract across all
 three and writes ``BENCH_align.json`` at the repo root for the cross-PR
@@ -30,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference.align
 from repro.align import native
 from repro.core.overlap import (align_candidates, build_a_matrix,
                                 candidate_overlaps)
@@ -49,12 +50,13 @@ ERROR_RATE = 0.05
 K = 17
 NPROCS = 4
 
-#: The PR's acceptance gate: batch vs loop in x-drop mode, serial, 1 core.
+#: The acceptance gate: batch vs loop in x-drop mode, serial, 1 core.
 MIN_ALIGN_SPEEDUP = 3.0
 
-#: Columns of the table: (label, align_impl, compiled kernel allowed).
-ENGINES = (("loop", "loop", False), ("batch", "batch", False),
-           ("compiled", "batch", True))
+#: Columns of the table: (label, aligner, compiled kernel allowed).
+ENGINES = (("loop", reference.align.align_candidates, False),
+           ("batch", align_candidates, False),
+           ("compiled", align_candidates, True))
 
 
 def _candidates():
@@ -84,13 +86,12 @@ def test_align_batch_speedup(benchmark):
         walls: dict[tuple[str, str], float] = {}
         results: dict[tuple[str, str], object] = {}
         for mode in ("xdrop", "chain"):
-            for label, impl, compiled in ENGINES:
+            for label, aligner, compiled in ENGINES:
                 with pytest.MonkeyPatch.context() as mp:
                     if not compiled:
                         mp.setattr(native, "load", lambda: None)
                     t0 = time.perf_counter()
-                    R = align_candidates(C, reads, K, comm, StageTimer(),
-                                         mode=mode, impl=impl)
+                    R = aligner(C, reads, K, comm, StageTimer(), mode=mode)
                     walls[(mode, label)] = time.perf_counter() - t0
                 results[(mode, label)] = R.to_global()
         return walls, results

@@ -3,13 +3,16 @@
 Times the hot paths the pipeline is built from (these are the
 pytest-benchmark entries with real statistics): ESC semiring SpGEMM vs the
 Gustavson reference, the MinPlus squaring, k-mer extraction/hashing, Bloom
-filter throughput, and the two x-drop engines.
+filter throughput, and the two per-pair x-drop reference engines
+(``tests/reference/align.py``; the batched kernels are timed by
+``bench_align_batch.py``).
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.align.xdrop import Scoring, xdrop_extend, xdrop_extend_dp
+from reference.align import xdrop_extend, xdrop_extend_dp
+from repro.align.xdrop import Scoring
 from repro.core.semirings import BidirectedMinPlus
 from repro.dsparse.coomat import CooMat
 from repro.dsparse.semiring import PlusTimes

@@ -1,9 +1,10 @@
 """CountKmer + CreateSpMat wall-clock: dict-loop vs batched SoA engine.
 
-With the alignment stage batched (PR 4), the k-mer stages became the
-dominant serial cost: the loop engine dispatches one ``read_kmers`` call
-per read, folds every admitted key through a Python ``dict``, and scans
-reads one by one when building A.  The batch engine runs each rank's
+With the alignment stage batched, the k-mer stages became the dominant
+serial cost of a per-read engine: the dict-loop reference
+(``tests/reference/kmer.py``) dispatches one seed extraction per read,
+folds every admitted key through a Python ``dict``, and scans reads one
+by one when building A.  The pipeline's batch engine runs each rank's
 extraction, admission, counting, and A scan as whole-array column
 operations over the ReadSet's structure-of-arrays view.
 
@@ -27,11 +28,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.overlap import build_a_matrix
+import reference.kmer
+from repro.core import overlap
 from repro.eval.report import format_table
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
-from repro.seqs.kmer_counter import count_kmers, reliable_upper_bound
+from repro.seqs import kmer_counter
+from repro.seqs.kmer_counter import reliable_upper_bound
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = REPO_ROOT / "BENCH_kmer.json"
@@ -50,8 +53,13 @@ NPROCS = 4
 #: Timed rounds per engine (best-of to shed scheduler noise).
 ROUNDS = 2
 
-#: The PR's acceptance gate: batch vs loop, serial, 1 core.
+#: The acceptance gate: batch vs loop, serial, 1 core.
 MIN_KMER_SPEEDUP = 3.0
+
+#: (count_kmers, build_a_matrix) per engine; "loop" is the reference.
+ENGINES = {"loop": (reference.kmer.count_kmers,
+                    reference.kmer.build_a_matrix),
+           "batch": (kmer_counter.count_kmers, overlap.build_a_matrix)}
 
 
 def _dataset():
@@ -63,16 +71,15 @@ def _dataset():
     return reads
 
 
-def _run_stages(reads, impl):
+def _run_stages(reads, engine):
+    count_kmers, build_a_matrix = ENGINES[engine]
     comm = SimComm(NPROCS, CommTracker(NPROCS))
     timer = StageTimer()
     t0 = time.perf_counter()
     table = count_kmers(reads, K, comm, timer,
-                        upper=reliable_upper_bound(DEPTH, ERROR_RATE, K),
-                        impl=impl)
+                        upper=reliable_upper_bound(DEPTH, ERROR_RATE, K))
     t_count = time.perf_counter()
-    A = build_a_matrix(reads, table, ProcessGrid2D(NPROCS), comm, timer,
-                       impl=impl)
+    A = build_a_matrix(reads, table, ProcessGrid2D(NPROCS), comm, timer)
     t_a = time.perf_counter()
     return (t_count - t0, t_a - t_count), table, A.to_global()
 
@@ -84,12 +91,12 @@ def test_kmer_batch_speedup(benchmark):
         walls: dict[str, tuple[float, float]] = {}
         results: dict[str, tuple] = {}
         for r in range(ROUNDS):
-            for impl in ("loop", "batch"):
-                secs, table, g = _run_stages(reads, impl)
-                prev = walls.get(impl)
+            for engine in ENGINES:
+                secs, table, g = _run_stages(reads, engine)
+                prev = walls.get(engine)
                 if prev is None or sum(secs) < sum(prev):
-                    walls[impl] = secs
-                results[impl] = (table, g)
+                    walls[engine] = secs
+                results[engine] = (table, g)
         return walls, results
 
     walls, results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -103,7 +110,7 @@ def test_kmer_batch_speedup(benchmark):
                  np.array_equal(g_l.vals, g_b.vals))
     assert identical, "batch k-mer engine diverged from the loop oracle"
 
-    total = {impl: sum(walls[impl]) for impl in ("loop", "batch")}
+    total = {engine: sum(walls[engine]) for engine in ENGINES}
     speedup = total["loop"] / max(total["batch"], 1e-9)
     rows = [{
         "stage": stage,

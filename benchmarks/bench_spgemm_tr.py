@@ -1,14 +1,15 @@
 """Overlap product + transitive reduction: masked engine vs ESC reference.
 
-With the k-mer and alignment stages batched (PRs 4–5), the semiring SpGEMMs
-became the dominant serial cost: the monolithic ESC overlap product expands
+With the k-mer and alignment stages batched, the semiring SpGEMMs became
+the dominant serial cost of an unmasked engine: the monolithic ESC overlap
+product (the reference in ``tests/reference/spgemm.py``) expands
 every elementary k-mer pairing, materializes a 7-field positions value for
 each, and sorts the full product — diagonal and lower triangle included —
 only to throw half of it away in the triangle prune; the transitive
 reduction squares R into the full two-hop matrix although the mask step
 only ever reads N at R's own nonzeros.
 
-The masked engine (PR 6) decomposes the overlap product into a native CSR
+The pipeline's masked engine decomposes the overlap product into a native CSR
 count pass plus a mask-pruned, reduce-truncated ESC seed pass restricted to
 the strict upper triangle, and squares R under R's own pattern.
 
@@ -33,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+import reference.spgemm
 from repro.core.overlap import (align_candidates, build_a_matrix,
                                 candidate_overlaps)
 from repro.core.transitive_reduction import transitive_reduction
@@ -59,8 +61,14 @@ TR_FUZZ = 150
 #: Timed rounds per engine (best-of to shed scheduler noise).
 ROUNDS = 2
 
-#: The PR's acceptance gate: masked vs esc, serial, 1 core.
+#: The acceptance gate: masked vs esc, serial, 1 core.
 MIN_SPGEMM_SPEEDUP = 3.0
+
+#: (candidate_overlaps, transitive_reduction) per engine; "esc" is the
+#: unmasked reference.
+ENGINES = {"esc": (reference.spgemm.candidate_overlaps,
+                   reference.spgemm.transitive_reduction),
+           "masked": (candidate_overlaps, transitive_reduction)}
 
 
 def _prepare():
@@ -81,14 +89,14 @@ def _prepare():
     return reads, A, R
 
 
-def _run_stages(A, R, impl):
+def _run_stages(A, R, engine):
+    overlaps, reduce = ENGINES[engine]
     comm = SimComm(NPROCS, CommTracker(NPROCS))
     timer = StageTimer()
     t0 = time.perf_counter()
-    C = candidate_overlaps(A, comm, timer, spgemm_impl=impl)
+    C = overlaps(A, comm, timer)
     t_overlap = time.perf_counter()
-    tr = transitive_reduction(R, comm, timer, fuzz=TR_FUZZ,
-                              spgemm_impl=impl)
+    tr = reduce(R, comm, timer, fuzz=TR_FUZZ)
     t_tr = time.perf_counter()
     return (t_overlap - t0, t_tr - t_overlap), C.to_global(), \
         tr.S.to_global(), tr.rounds
@@ -101,12 +109,12 @@ def test_spgemm_masked_speedup(benchmark):
         walls: dict[str, tuple[float, float]] = {}
         results: dict[str, tuple] = {}
         for _r in range(ROUNDS):
-            for impl in ("esc", "masked"):
-                secs, g_c, g_s, rounds = _run_stages(A, R, impl)
-                prev = walls.get(impl)
+            for engine in ENGINES:
+                secs, g_c, g_s, rounds = _run_stages(A, R, engine)
+                prev = walls.get(engine)
                 if prev is None or sum(secs) < sum(prev):
-                    walls[impl] = secs
-                results[impl] = (g_c, g_s, rounds)
+                    walls[engine] = secs
+                results[engine] = (g_c, g_s, rounds)
         return walls, results
 
     walls, results = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -122,7 +130,7 @@ def test_spgemm_masked_speedup(benchmark):
                  rounds_e == rounds_m)
     assert identical, "masked SpGEMM engine diverged from the ESC oracle"
 
-    total = {impl: sum(walls[impl]) for impl in ("esc", "masked")}
+    total = {engine: sum(walls[engine]) for engine in ENGINES}
     speedup = total["esc"] / max(total["masked"], 1e-9)
     rows = [{
         "stage": stage,

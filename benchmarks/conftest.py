@@ -4,8 +4,11 @@ Each ``bench_*`` file regenerates one table or figure of the paper: it runs
 the corresponding experiment driver, prints the same rows/series the paper
 reports, and times the driving computation via pytest-benchmark.
 
-Two conveniences here:
+Three conveniences here:
 
+* ``tests/`` goes on ``sys.path``, so the benchmarks that gate a fast
+  engine against its reference import it as ``reference.*`` — the same
+  package the parity tests use (``tests/reference/``);
 * every benchmark's stdout is replayed to the real terminal after the test
   (so the regenerated tables are visible without ``-s``), and
 * the same text is appended to ``benchmarks/results/<bench>.txt`` for a
@@ -22,6 +25,10 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
+
+_TESTS_DIR = str(Path(__file__).resolve().parent.parent / "tests")
+if _TESTS_DIR not in sys.path:
+    sys.path.append(_TESTS_DIR)
 
 
 @pytest.fixture(autouse=True)

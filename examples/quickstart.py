@@ -23,10 +23,8 @@ import argparse
 import time
 
 from repro import CORI_HASWELL, PipelineConfig, extract_contigs, run_pipeline
-from repro.align.batch import ALIGN_IMPLS
 from repro.core.memory import OVERLAP_MODES, format_bytes, parse_bytes
 from repro.exec import available_executors
-from repro.seqs.kmer_counter import KMER_IMPLS
 from repro.seqs.seeding import DEFAULT_SEED_W, SEED_MODES
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 
@@ -50,16 +48,6 @@ def main() -> None:
                     help="'chain' (default here, for a fast demo) is the "
                          "alignment-free estimate; 'xdrop' runs real banded "
                          "alignments — affordable via the batched engine")
-    ap.add_argument("--align-impl", choices=("auto",) + ALIGN_IMPLS,
-                    default="auto",
-                    help="alignment engine: 'batch' sweeps whole chunks of "
-                         "candidate pairs per kernel call, 'loop' is the "
-                         "per-pair reference — identical output")
-    ap.add_argument("--kmer-impl", choices=("auto",) + KMER_IMPLS,
-                    default="auto",
-                    help="k-mer engine: 'batch' counts through vectorized "
-                         "sorted-array tables, 'loop' is the per-read / "
-                         "per-key dict reference — identical output")
     ap.add_argument("--seed-mode", choices=("auto",) + SEED_MODES,
                     default="auto",
                     help="seeding scheme: 'full' seeds every k-mer window, "
@@ -84,8 +72,6 @@ def main() -> None:
     #    faster than per-pair dispatch); --workers spreads the per-rank
     #    compute over real cores (same output, smaller wall-clock).
     config = PipelineConfig(k=17, nprocs=4, align_mode=args.align_mode,
-                            align_impl=args.align_impl,
-                            kmer_impl=args.kmer_impl,
                             depth_hint=15, error_hint=0.05,
                             workers=args.workers, executor=args.executor,
                             overlap_mode=args.overlap_mode,
@@ -96,8 +82,7 @@ def main() -> None:
     wall = time.perf_counter() - t0
     print(f"Pipeline wall-clock: {wall:.2f} s "
           f"(executor={config.executor}, workers={args.workers or 'env/1'}, "
-          f"align={config.align_mode}/{result.align_impl}, "
-          f"kmer={result.kmer_impl}, seed={result.seed_mode})")
+          f"align={config.align_mode}, seed={result.seed_mode})")
     if result.seed_mode != "full":
         print(f"Sketched seeding: {result.seed_mode} (w={args.seed_w}) — "
               f"nnz(A) = {result.nnz_a:,} vs ~every-window full-k")

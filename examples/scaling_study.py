@@ -22,7 +22,6 @@ import time
 
 from repro import CORI_HASWELL, SUMMIT_CPU, PipelineConfig, run_pipeline
 from repro.eval import load_preset, parallel_efficiency
-from repro.seqs.kmer_counter import KMER_IMPLS
 
 
 def main(argv: list[str]) -> None:
@@ -36,10 +35,6 @@ def main(argv: list[str]) -> None:
                     default="chain",
                     help="'xdrop' runs real banded alignments per candidate "
                          "pair via the batched engine")
-    ap.add_argument("--kmer-impl", choices=("auto",) + KMER_IMPLS,
-                    default="auto",
-                    help="k-mer engine (identical output; 'batch' is the "
-                         "vectorized SoA fast path)")
     args = ap.parse_args(argv[1:])
     workers = args.workers
     preset_name = args.preset
@@ -51,7 +46,6 @@ def main(argv: list[str]) -> None:
     results = []
     for P in procs:
         cfg = PipelineConfig(k=17, nprocs=P, align_mode=args.align_mode,
-                             kmer_impl=args.kmer_impl,
                              depth_hint=preset.depth,
                              error_hint=preset.error_rate,
                              workers=workers)

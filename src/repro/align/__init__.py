@@ -1,19 +1,15 @@
-"""Pairwise alignment substrate: x-drop seed-and-extend (per-pair and
-batched structure-of-arrays engines) and overlap classification into
+"""Pairwise alignment substrate: batched structure-of-arrays x-drop
+seed-and-extend (with its compiled kernel) and overlap classification into
 bidirected string-graph edges."""
 
-from .xdrop import (AlignmentResult, Scoring, chain_extend, seed_extend_align,
-                    xdrop_extend)
-from .batch import (ALIGN_IMPLS, ALIGN_IMPL_ENV, chain_extend_batch,
-                    extend_seeds_xdrop_batch, resolve_align_impl,
+from .xdrop import AlignmentResult, Scoring
+from .batch import (chain_extend_batch, extend_seeds_xdrop_batch,
                     xdrop_extend_batch)
 from .overlapper import (B_END, E_END, OverlapClass, classify_overlap,
                          classify_overlap_batch)
 
 __all__ = [
-    "AlignmentResult", "Scoring", "chain_extend", "seed_extend_align",
-    "xdrop_extend",
-    "ALIGN_IMPLS", "ALIGN_IMPL_ENV", "resolve_align_impl",
+    "AlignmentResult", "Scoring",
     "xdrop_extend_batch", "extend_seeds_xdrop_batch", "chain_extend_batch",
     "B_END", "E_END", "OverlapClass", "classify_overlap",
     "classify_overlap_batch",

@@ -1,12 +1,9 @@
 """Batched structure-of-arrays x-drop alignment engine.
 
-:mod:`repro.align.xdrop` vectorizes one pair's extension over its *diagonals*
-— which still leaves the pipeline issuing one Python call (and dozens of tiny
-numpy kernels) per candidate pair.  This module adds the second vectorization
-axis: every function here operates on **whole batches of extension problems
-at once**, advancing all of them in lockstep so each edit round is a handful
+:func:`xdrop_extend_batch` extends **whole batches of x-drop problems at
+once**, advancing all of them in lockstep so each edit round is a handful
 of large ``(problems × diagonals)`` kernel calls instead of thousands of
-small ones.
+small per-pair ones.
 
 Sequences are never copied or padded per problem.  A batch references one
 shared ``codes`` buffer (all reads concatenated) through structure-of-arrays
@@ -15,70 +12,33 @@ reversed prefixes of left extensions), a length, and an XOR mask (``3``
 complements a 2-bit DNA code, so reverse-complemented sequences are plain
 strided reads of the forward buffer — no oriented copy is materialized).
 
-The sweep mirrors :func:`repro.align.xdrop.xdrop_extend` *exactly*: the same
-greedy Landau–Vishkin recurrence, the same chunked snake slide, the same
-score/tie-break/x-drop rules — only run over a 2D ``(problem, diagonal)``
-state with per-problem live masks.  Problems retire from the working set as
-their diagonal sets die, so the arrays shrink as the batch drains and the
-cost converges to the serial engine's per-problem work.
+The sweep is the greedy Landau–Vishkin recurrence with a chunked snake
+slide and fixed score/tie-break/x-drop rules, run over a 2D
+``(problem, diagonal)`` state with per-problem live masks.  Problems retire
+from the working set as their diagonal sets die, so the arrays shrink as
+the batch drains.  The per-pair 1D engine it is pinned against lives with
+the tests (``tests/reference/align.py``).
 
 :func:`extend_seeds_xdrop_batch`, the pipeline's entry point, hands the
 same structure-of-arrays batch to the compiled kernel of
 :mod:`repro.align.native` (built on first use, GIL released) and keeps
 :func:`xdrop_extend_batch` as its fallback when no C compiler is usable and
-as its parity oracle.  The per-pair path stays the reference oracle behind
-the ``loop | batch | auto`` switch (:func:`resolve_align_impl`), and the
-parity suite pins byte-identical results between the two.
+as its parity oracle.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from . import native
 from .xdrop import LV_NEG, SNAKE_CHUNK, Scoring
 
-__all__ = [
-    "ALIGN_IMPLS", "ALIGN_IMPL_ENV", "DEFAULT_ALIGN_IMPL",
-    "resolve_align_impl",
-    "xdrop_extend_batch", "extend_seeds_xdrop_batch", "chain_extend_batch",
-]
-
-#: Alignment-engine names accepted by ``PipelineConfig.align_impl`` (plus
-#: ``"auto"``, which resolves through :func:`resolve_align_impl`).
-ALIGN_IMPLS = ("loop", "batch")
-
-#: Environment variable consulted by ``align_impl="auto"``.
-ALIGN_IMPL_ENV = "REPRO_ALIGN_IMPL"
-
-#: What ``"auto"`` resolves to when the environment does not override it.
-DEFAULT_ALIGN_IMPL = "batch"
+__all__ = ["xdrop_extend_batch", "extend_seeds_xdrop_batch",
+           "chain_extend_batch"]
 
 #: Sentinel for masked cells in the tie-break reach comparison — below any
 #: real ``2·F - d`` (bounded by read lengths) but far from int64 overflow.
 _REACH_NEG = np.int64(-(2 ** 60))
-
-
-def resolve_align_impl(impl: str | None = None) -> str:
-    """Resolve an alignment-engine name to ``"loop"`` or ``"batch"``.
-
-    ``None`` and ``"auto"`` defer to the :data:`ALIGN_IMPL_ENV` environment
-    variable when set (mirroring ``REPRO_EXECUTOR`` / ``REPRO_OVERLAP_MODE``),
-    else pick :data:`DEFAULT_ALIGN_IMPL`; explicit names pass through
-    validated.  Both engines produce byte-identical output — the switch is a
-    pure performance axis, with ``loop`` kept as the reference oracle.
-    """
-    if impl is None:
-        impl = "auto"
-    if impl == "auto":
-        env = os.environ.get(ALIGN_IMPL_ENV, "").strip().lower()
-        impl = env if env and env != "auto" else DEFAULT_ALIGN_IMPL
-    if impl not in ALIGN_IMPLS:
-        raise ValueError(f"unknown align impl {impl!r}; expected one of "
-                         f"{', '.join(ALIGN_IMPLS + ('auto',))}")
-    return impl
 
 
 def _slide_snakes_2d(codes: np.ndarray,
@@ -88,10 +48,10 @@ def _slide_snakes_2d(codes: np.ndarray,
                      live: np.ndarray) -> np.ndarray:
     """Batched exact-match snake slide over live ``(problem, diagonal)`` cells.
 
-    The 2D counterpart of :func:`repro.align.xdrop._slide_snakes`: ``F[p, w]``
-    is the furthest ``i`` of problem ``p`` on diagonal ``dlo + w``; characters
-    are fetched through the strided SoA views (``codes[base + i·step] ^ xor``)
-    in :data:`~repro.align.xdrop.SNAKE_CHUNK`-character gulps, and only cells
+    ``F[p, w]`` is the furthest ``i`` of problem ``p`` on diagonal
+    ``dlo + w``; characters are fetched through the strided SoA views
+    (``codes[base + i·step] ^ xor``) in
+    :data:`~repro.align.xdrop.SNAKE_CHUNK`-character gulps, and only cells
     that matched a full chunk iterate again.
     """
     ext = np.zeros_like(F)
@@ -136,8 +96,9 @@ def xdrop_extend_batch(codes: np.ndarray,
     and ``t_p[j] = codes[t_base[p] + j·t_step[p]] ^ t_xor[p]`` — the strided
     SoA views that make forward suffixes, reversed prefixes, and
     reverse-complemented sequences all zero-copy.  Returns per-problem
-    ``(best_score, ext_s, ext_t)`` arrays, each element exactly equal to
-    :func:`repro.align.xdrop.xdrop_extend` on the materialized pair.
+    ``(best_score, ext_s, ext_t)`` arrays: the best score over all
+    alignments starting at the origin and the extension lengths on ``s``
+    and ``t`` achieving it (empty sides give ``(0, 0, 0)``).
 
     Each edit round processes the whole batch as ``(live problems × window)``
     arrays sharing one diagonal axis; the per-problem x-drop prune retires
@@ -150,7 +111,7 @@ def xdrop_extend_batch(codes: np.ndarray,
     out_j = np.zeros(n_prob, dtype=np.int64)
     if n_prob == 0:
         return out_best, out_i, out_j
-    # Empty-side problems return (0, 0, 0) like the serial engine.
+    # Empty-side problems return (0, 0, 0).
     ids = np.flatnonzero((s_len > 0) & (t_len > 0))
     if ids.size == 0:
         return out_best, out_i, out_j
@@ -198,7 +159,7 @@ def xdrop_extend_batch(codes: np.ndarray,
         dlo -= 1
         diag = dlo + np.arange(width + 2, dtype=np.int64)
         # Substitution / insertion / deletion candidates; manual 3-way max
-        # keeps M paired with its F winner (same scheme as the 1D engine).
+        # keeps M paired with its F winner.
         F = Fp + 1
         M = Mp.copy()
         f_ins = np.empty_like(Fp)
@@ -235,7 +196,7 @@ def xdrop_extend_batch(codes: np.ndarray,
         upd = np.flatnonzero(sbest > best)
         if upd.size:
             # Tie-break equal scores toward the farthest-reaching cell
-            # (largest i + j), first in diagonal order — as the 1D engine.
+            # (largest i + j), first in diagonal order.
             reach = np.where(scores[upd] == sbest[upd, None],
                              2 * F[upd] - diag[None, :], _REACH_NEG)
             kb = np.argmax(reach, axis=1)
@@ -243,7 +204,7 @@ def xdrop_extend_batch(codes: np.ndarray,
             best_i[upd] = F[upd, kb]
             best_j[upd] = F[upd, kb] - diag[kb]
         # X-drop prune, then retire problems whose diagonal sets died (or
-        # that exhausted the serial engine's m + n edit-round budget).
+        # that exhausted their m + n edit-round budget).
         live &= scores >= (best - sc.xdrop)[:, None]
         F = np.where(live, F, LV_NEG)
         M = np.where(live, M, LV_NEG)
@@ -278,8 +239,8 @@ def _seed_scores_batch(codes: np.ndarray, a_base: np.ndarray,
 
     ``pbo`` is the seed start on the *oriented* ``b``; strand-1 characters
     are read back-to-front off the forward buffer and complemented by XOR.
-    Seed windows clipped by a sequence end are scored over the shared prefix,
-    exactly like the per-pair engine.
+    Seed windows clipped by a sequence end are scored over the shared
+    prefix.
     """
     la = np.clip(a_len - pa, 0, k)
     lb = np.clip(b_len - pbo, 0, k)
@@ -303,7 +264,7 @@ def extend_seeds_xdrop_batch(codes: np.ndarray, a_base: np.ndarray,
                              sc: Scoring
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                         np.ndarray, np.ndarray]:
-    """Batched :func:`~repro.align.xdrop.seed_extend_align` over seed arrays.
+    """Batched seed-and-extend x-drop alignment over seed arrays.
 
     ``pa`` / ``pb`` are seed k-mer starts on each pair's read ``a`` and on
     the **forward** read ``b``; strand-1 seeds are mapped onto the oriented
@@ -313,7 +274,8 @@ def extend_seeds_xdrop_batch(codes: np.ndarray, a_base: np.ndarray,
     :func:`repro.align.native.load` provides it, else
     :func:`xdrop_extend_batch`, with identical results.  Returns
     per-seed ``(score, ba, ea, bb, eb)`` with coordinates on ``a`` and the
-    oriented ``b``, element-wise equal to the per-pair engine.
+    oriented ``b`` (reverse-complemented when ``strand == 1``); the score
+    is the matches inside the seed plus both extensions.
     """
     n_seed = int(pa.shape[0])
     pbo = np.where(strand != 0, b_len - k - pb, pb)
@@ -354,10 +316,11 @@ def chain_extend_batch(a_len: np.ndarray, b_len: np.ndarray, pa: np.ndarray,
                        identity: float = 0.85
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                   np.ndarray, np.ndarray]:
-    """Batched :func:`~repro.align.xdrop.chain_extend` over seed arrays.
+    """Alignment-free coordinate estimate from each seed's diagonal.
 
     Pure column arithmetic — the seed diagonal projected to the read ends,
-    scored by the implied overlap length × identity estimate.  Returns the
+    scored by the implied overlap length × identity estimate (the
+    minimap2-style shortcut, no base-level alignment).  Returns the
     same ``(score, ba, ea, bb, eb)`` tuple as the x-drop variant.
     """
     sb = np.where(strand != 0, b_len - k - pb, pb)

@@ -17,7 +17,8 @@ Fig. 9's comparison and Table I's 1D column come from measured code:
    (stage ``Overlap1D`` traffic — this is the ``a²m/P`` term),
 4. read exchange: one read per nonzero where the aligning rank lacks it
    (stage ``ExchangeRead1D``, ``W = cnl/P``),
-5. pairwise alignment (same kernel as the 2D pipeline).
+5. pairwise alignment (same batched kernel and filter/classification task
+   as the 2D pipeline, one call per rank).
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..align.xdrop import Scoring
-from ..core.overlap import AlignmentFilter, _align_one
-from ..core.semirings import C_PA1, C_PB1, C_STRAND1
-from ..align.overlapper import classify_overlap
+from ..core.overlap import AlignmentFilter, _align_chunk_task
+from ..core.semirings import C_NFIELDS, C_PA1, C_PB1, C_STRAND1
 from ..dsparse.backend import Backend, get_backend
 from ..dsparse.coomat import CooMat
 from ..mpisim.comm import SimComm
@@ -220,25 +220,27 @@ def run_dibella1d(reads: ReadSet, k: int = 17, nprocs: int = 1, *,
         for src, nbytes in per_src.items():
             comm.tracker.record(ex_stage, src, nbytes, 1)
 
-    # Alignment (same kernel as 2D).
+    # Alignment (same kernel as 2D): each rank aligns its candidate pairs
+    # in one batched call and counts the surviving dovetails (two directed
+    # R rows each).
     n_overlaps = 0
+    ctx = (reads, k, align_mode, scoring, filt, fuzz)
     with timer.superstep("Alignment") as step:
         for p in range(P):
+            if not candidates[p]:
+                continue
             with step.rank(p):
-                for (ri, rj), (pi, pj, s) in candidates[p].items():
-                    cval = np.full(7, -1, dtype=np.int64)
-                    cval[C_PA1], cval[C_PB1], cval[C_STRAND1] = pi, pj, s
-                    res = _align_one(reads, ri, rj, cval, k, align_mode,
-                                     scoring)
-                    if res is None:
-                        continue
-                    olen = res.ea - res.ba
-                    if not filt.passes(res.score, olen):
-                        continue
-                    oc = classify_overlap(reads[ri].shape[0],
-                                          reads[rj].shape[0], res, fuzz)
-                    if oc.kind == "dovetail":
-                        n_overlaps += 1
+                pairs = np.array(list(candidates[p].keys()), dtype=np.int64)
+                seeds = np.array(list(candidates[p].values()),
+                                 dtype=np.int64)
+                cvals = np.full((pairs.shape[0], C_NFIELDS), -1,
+                                dtype=np.int64)
+                cvals[:, C_PA1] = seeds[:, 0]
+                cvals[:, C_PB1] = seeds[:, 1]
+                cvals[:, C_STRAND1] = seeds[:, 2]
+                rows, _cols, _vals = _align_chunk_task(
+                    ctx, (pairs[:, 0], pairs[:, 1], cvals))
+                n_overlaps += rows.shape[0] // 2
 
     return Dibella1DResult(n_reads=n, n_kmers=len(table),
                            n_candidate_pairs=n_pairs, n_overlaps=n_overlaps,

@@ -21,17 +21,14 @@ import argparse
 import sys
 
 from .align import native
-from .align.batch import ALIGN_IMPLS
 from .core.contigs import extract_contigs
 from .core.memory import (OVERLAP_MODES, apportion_budget, format_bytes,
                           parse_bytes)
 from .core.pipeline import STAGES, PipelineConfig, run_pipeline_from_fasta
 from .dsparse.backend import available_backends
-from .dsparse.masked import SPGEMM_IMPLS
 from .exec import available_executors
 from .mpisim.machine import MACHINES
 from .seqs.dna import GenomeSpec, decode
-from .seqs.kmer_counter import KMER_IMPLS
 from .seqs.read_store import READ_STORES
 from .seqs.seeding import SEED_MODES
 from .seqs.fasta import read_fasta, write_fasta
@@ -92,33 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulated process count (perfect square)")
         p.add_argument("--align-mode", choices=("xdrop", "chain"),
                        default=cfg.align_mode)
-        p.add_argument("--align-impl", choices=("auto",) + ALIGN_IMPLS,
-                       default=cfg.align_impl,
-                       help="alignment engine: 'batch' runs one vectorized "
-                            "x-drop sweep over whole chunks of candidate "
-                            "pairs, 'loop' aligns pair by pair (the "
-                            "reference oracle); 'auto' honors "
-                            "REPRO_ALIGN_IMPL, else batch (results are "
-                            "engine-independent)")
-        p.add_argument("--kmer-impl", choices=("auto",) + KMER_IMPLS,
-                       default=cfg.kmer_impl,
-                       help="k-mer engine: 'batch' extracts and counts "
-                            "through vectorized sorted-array SoA tables "
-                            "(one sweep per rank for CountKmer and the "
-                            "CreateSpMat scan), 'loop' runs the per-read / "
-                            "per-key dict reference oracle; 'auto' honors "
-                            "REPRO_KMER_IMPL, else batch (results are "
-                            "engine-independent)")
-        p.add_argument("--spgemm-impl", choices=("auto",) + SPGEMM_IMPLS,
-                       default=cfg.spgemm_impl,
-                       help="SpGEMM engine for the multi-field semiring "
-                            "products: 'masked' decomposes C = A*At into a "
-                            "native count product plus a mask-pruned ESC "
-                            "seed pass and squares R under its own pattern "
-                            "in transitive reduction, 'esc' runs the "
-                            "monolithic expand-sort-compress reference "
-                            "oracle; 'auto' honors REPRO_SPGEMM_IMPL, else "
-                            "masked (results are engine-independent)")
         p.add_argument("--fuzz", type=int, default=cfg.fuzz)
         p.add_argument("--depth-hint", type=float, default=cfg.depth_hint)
         p.add_argument("--error-hint", type=float, default=cfg.error_hint)
@@ -237,12 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulated process count (perfect square)")
     srv.add_argument("--align-mode", choices=("xdrop", "chain"),
                      default=cfg.align_mode)
-    srv.add_argument("--align-impl", choices=("auto",) + ALIGN_IMPLS,
-                     default=cfg.align_impl)
-    srv.add_argument("--kmer-impl", choices=("auto",) + KMER_IMPLS,
-                     default=cfg.kmer_impl)
-    srv.add_argument("--spgemm-impl", choices=("auto",) + SPGEMM_IMPLS,
-                     default=cfg.spgemm_impl)
     srv.add_argument("--seed-mode", choices=("auto",) + SEED_MODES,
                      default=cfg.seed_mode,
                      help="seeding scheme of the session (full, minimizer, "
@@ -283,10 +247,7 @@ def _cmd_simulate(args) -> int:
 
 def _run(args):
     cfg = PipelineConfig(k=args.k, nprocs=args.nprocs,
-                         align_mode=args.align_mode,
-                         align_impl=args.align_impl,
-                         kmer_impl=args.kmer_impl,
-                         spgemm_impl=args.spgemm_impl, fuzz=args.fuzz,
+                         align_mode=args.align_mode, fuzz=args.fuzz,
                          depth_hint=args.depth_hint,
                          error_hint=args.error_hint,
                          backend=args.backend,
@@ -305,14 +266,11 @@ def _run(args):
 def _print_stats(result, machine_name: str) -> None:
     machine = MACHINES[machine_name]
     print(f"reads: {result.n_reads}   reliable k-mers: {result.n_kmers}")
-    align = (f"alignment: {result.config.align_mode} mode, "
-             f"{result.align_impl} engine")
-    if result.config.align_mode == "xdrop" and result.align_impl == "batch":
+    align = f"alignment: {result.config.align_mode} mode"
+    if result.config.align_mode == "xdrop":
         # The numpy fallback is ~20x slower; never let it run unannounced.
         align += f", x-drop kernel: {native.kernel_name()}"
     print(align)
-    print(f"k-mer counting: {result.kmer_impl} engine")
-    print(f"spgemm: {result.spgemm_impl} engine")
     if result.seed_mode == "full":
         print("seeding: full (every k-mer window)")
     else:
@@ -375,10 +333,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_serve(args) -> int:
     pcfg = PipelineConfig(k=args.k, nprocs=args.nprocs,
-                          align_mode=args.align_mode,
-                          align_impl=args.align_impl,
-                          kmer_impl=args.kmer_impl,
-                          spgemm_impl=args.spgemm_impl, fuzz=args.fuzz,
+                          align_mode=args.align_mode, fuzz=args.fuzz,
                           depth_hint=args.depth_hint,
                           error_hint=args.error_hint,
                           backend=args.backend, workers=args.workers,

@@ -28,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..align.batch import resolve_align_impl
 from ..align.xdrop import Scoring
 from ..dsparse.backend import Backend, get_backend
 from ..dsparse.distmat import DistMat
-from ..dsparse.masked import resolve_spgemm_impl
 from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import block_bounds
@@ -76,7 +74,7 @@ class BlockedOverlapResult:
 
 
 def _strip_task(ctx, task):
-    """Executor task: one strip's SUMMA + triangle prune + alignment.
+    """Executor task: one strip's triangle-masked SUMMA + alignment.
 
     Runs against a private communicator/timer so strips can execute on any
     worker; returns the strip's global R entries plus its accounting for
@@ -84,8 +82,7 @@ def _strip_task(ctx, task):
     ``Aᵀ`` strip (sliced in the parent), so a process pool never ships the
     full transpose to a worker.
     """
-    A, reads, k, nprocs, mode, scoring, filt, fuzz, backend, align_impl, \
-        spgemm_impl = ctx
+    A, reads, k, nprocs, mode, scoring, filt, fuzz, backend = ctx
     lo, hi, At_strip = task
     backend = get_backend(backend)
     tracker = CommTracker(nprocs)
@@ -93,24 +90,12 @@ def _strip_task(ctx, task):
     timer = StageTimer()
     n = A.shape[0]
 
-    # The strip product (the expansion peak — the strip as SUMMA produced
-    # it, before pruning — is recorded inside, from the count pattern when
-    # the masked engine decomposes the product with the strip's column
-    # offset in its triangle mask).
+    # The strip product, already pruned to the strict upper triangle in
+    # *global* coordinates (the strip's column offset shifts the triangle
+    # mask); its expansion peak — the strip as an unmasked SUMMA would
+    # produce it — is recorded inside from the count pattern.
     C_strip = summa_positions(A, At_strip, comm, timer, backend, None,
-                              spgemm_impl, col_offset=lo)
-    # Keep the strict upper triangle in *global* coordinates.
-    q = C_strip.grid.q
-    blocks = []
-    for i in range(q):
-        brow = []
-        for j in range(q):
-            b = C_strip.blocks[i][j]
-            gr = b.row + C_strip.row_bounds[i]
-            gc = b.col + C_strip.col_bounds[j] + lo
-            brow.append(backend.select(b, gr < gc))
-        blocks.append(brow)
-    C_strip = DistMat(C_strip.shape, C_strip.grid, blocks, C_strip.nfields)
+                              col_offset=lo)
     strip_nnz = C_strip.nnz()
 
     # Align and prune this strip immediately (the memory saver): the
@@ -118,7 +103,7 @@ def _strip_task(ctx, task):
     shifted = _shift_columns(C_strip, lo, n)
     R_strip = align_candidates(shifted, reads, k, comm, timer,
                                mode=mode, scoring=scoring, filt=filt,
-                               fuzz=fuzz, impl=align_impl)
+                               fuzz=fuzz)
     g = R_strip.to_global()
     coo = (g.row, g.col, g.vals) if g.nnz else None
     return coo, strip_nnz, timer, tracker
@@ -126,7 +111,6 @@ def _strip_task(ctx, task):
 
 def _strip_fingerprint(A: DistMat, reads: ReadSet, k: int, nprocs: int,
                        mode: str, scoring, filt, fuzz: int,
-                       align_impl: str, spgemm_impl: str,
                        spans: list[tuple[int, int]]) -> str:
     """SHA-256 over everything a strip's result depends on.
 
@@ -143,7 +127,7 @@ def _strip_fingerprint(A: DistMat, reads: ReadSet, k: int, nprocs: int,
     # bounded chunks — either way the bases are never materialized here.
     h.update(reads.content_fingerprint().encode())
     h.update(repr((A.shape, A.grid.q, k, nprocs, mode, scoring, filt, fuzz,
-                   align_impl, spgemm_impl, spans)).encode())
+                   spans)).encode())
     return h.hexdigest()
 
 
@@ -156,8 +140,6 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
                                fuzz: int = 100,
                                backend: Backend | str | None = None,
                                executor: Executor | None = None,
-                               align_impl: str | None = None,
-                               spgemm_impl: str | None = None,
                                checkpoint_dir: str | None = None
                                ) -> BlockedOverlapResult:
     """Strip-mined ``C = A·Aᵀ`` with per-strip alignment and pruning.
@@ -165,9 +147,7 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
     Parameters mirror :func:`~repro.core.overlap.candidate_overlaps` +
     :func:`~repro.core.overlap.align_candidates`; ``n_strips`` controls the
     peak-memory / latency trade-off (each strip is one Sparse SUMMA over a
-    narrower ``Aᵀ``); ``backend`` selects the local kernels; ``align_impl``
-    the per-strip alignment engine (resolved once here so every strip task
-    runs the same engine regardless of worker environment).  ``executor``
+    narrower ``Aᵀ``); ``backend`` selects the local kernels.  ``executor``
     spreads whole strips over workers — each strip's private accounting is
     merged back in strip order, so results, communication records, and
     peak-memory marks are byte-identical for every executor.
@@ -185,8 +165,6 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
     backend = get_backend(backend)
     scoring = scoring if scoring is not None else Scoring()
     filt = filt if filt is not None else AlignmentFilter()
-    align_impl = resolve_align_impl(align_impl)
-    spgemm_impl = resolve_spgemm_impl(spgemm_impl)
     n = A.shape[0]
     At = A.transpose(backend=backend)
     bounds = block_bounds(n, n_strips)
@@ -197,8 +175,7 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
     tasks = [(lo, hi, At.column_slice(lo, hi)) for lo, hi in spans]
     del At
 
-    ctx = (A, reads, k, comm.nprocs, mode, scoring, filt, fuzz, backend,
-           align_impl, spgemm_impl)
+    ctx = (A, reads, k, comm.nprocs, mode, scoring, filt, fuzz, backend)
     # Weight by the strip's At entries — the SUMMA flops and downstream
     # candidate count scale with them, while block_bounds makes the column
     # widths near-uniform and thus balance-blind under skew.
@@ -209,8 +186,7 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
     else:
         results = _run_checkpointed(executor, tasks, ctx, weights,
                                     checkpoint_dir, A, reads, k, comm.nprocs,
-                                    mode, scoring, filt, fuzz, align_impl,
-                                    spgemm_impl, spans)
+                                    mode, scoring, filt, fuzz, spans)
 
     nnz_c = 0
     peak = 0
@@ -247,8 +223,7 @@ def candidate_overlaps_blocked(A: DistMat, reads: ReadSet, k: int,
 def _run_checkpointed(executor: Executor, tasks: list, ctx, weights,
                       checkpoint_dir: str, A: DistMat, reads: ReadSet,
                       k: int, nprocs: int, mode: str, scoring, filt,
-                      fuzz: int, align_impl: str, spgemm_impl: str,
-                      spans: list[tuple[int, int]]) -> list:
+                      fuzz: int, spans: list[tuple[int, int]]) -> list:
     """Run strips with per-strip persistence, resuming completed ones.
 
     Strips execute in waves of ``executor.workers`` so each result lands
@@ -260,8 +235,7 @@ def _run_checkpointed(executor: Executor, tasks: list, ctx, weights,
     tell a resumed run from a straight-through one.
     """
     fingerprint = _strip_fingerprint(A, reads, k, nprocs, mode, scoring,
-                                     filt, fuzz, align_impl, spgemm_impl,
-                                     spans)
+                                     filt, fuzz, spans)
     ckpt = StripCheckpoint(checkpoint_dir, fingerprint, len(tasks)).open()
     pending = [i for i in range(len(tasks)) if not ckpt.has(i)]
     wave_size = max(1, executor.workers)

@@ -25,16 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..align.batch import (chain_extend_batch, extend_seeds_xdrop_batch,
-                           resolve_align_impl)
-from ..align.overlapper import (OverlapClass, classify_overlap,
-                                classify_overlap_batch)
-from ..align.xdrop import AlignmentResult, Scoring, chain_extend, \
-    seed_extend_align
+from ..align.batch import chain_extend_batch, extend_seeds_xdrop_batch
+from ..align.overlapper import classify_overlap_batch
+from ..align.xdrop import Scoring
 from ..dsparse.backend import Backend, get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
-from ..dsparse.masked import resolve_spgemm_impl
 from ..dsparse.semiring import PlusTimes
 from ..dsparse.summa import summa
 from ..exec import Executor, SERIAL
@@ -43,7 +39,7 @@ from ..mpisim.comm import SimComm
 from ..mpisim.grid import ProcessGrid2D, block_bounds
 from ..mpisim.tracker import CommTracker, StageTimer
 from ..seqs.fasta import ReadSet
-from ..seqs.kmer_counter import KmerTable, resolve_kmer_impl
+from ..seqs.kmer_counter import KmerTable
 from ..seqs.seeding import FullKScheme, SeedScheme
 from .memory import coo_nbytes
 from .semirings import (A_FLIP, A_POS, C_COUNT, C_NFIELDS, C_PA1, C_PA2,
@@ -74,33 +70,7 @@ class AlignmentFilter:
         return score >= max(self.min_score, int(self.ratio * overlap_len))
 
 
-def _a_scan_task(ctx, span):
-    """Executor task: one 1D rank's (read, seed k-mer) entry scan."""
-    reads, table, scheme = ctx
-    lo, hi = span
-    rr, cc, vv = [], [], []
-    for gi in range(lo, hi):
-        keys, seed_pos, seed_flip = scheme.seeds_of_read(reads[gi])
-        if keys.shape[0] == 0:
-            continue
-        col = table.lookup(keys)
-        ok = col >= 0
-        if not ok.any():
-            continue
-        pos = seed_pos[ok]
-        col = col[ok]
-        flip = seed_flip[ok].astype(np.int64)
-        # Keep the first occurrence per (read, k-mer).
-        _, first = np.unique(col, return_index=True)
-        rr.append(np.full(first.shape[0], gi, dtype=np.int64))
-        cc.append(col[first])
-        vv.append(np.stack([pos[first], flip[first]], axis=1))
-    if not rr:
-        return None
-    return np.concatenate(rr), np.concatenate(cc), np.vstack(vv)
-
-
-def _a_scan_batch_task(ctx, task):
+def _a_scan_task(ctx, task):
     """Executor task: one 1D rank's (read, k-mer) scan as pure column ops.
 
     The task is the rank's global read span ``(lo, hi)``; the worker takes
@@ -109,8 +79,7 @@ def _a_scan_batch_task(ctx, task):
     ships only its path and each worker pages in its own block.
     Extraction, dictionary lookup, and first-occurrence dedup all run over
     the whole block at once.  Output entries are ordered by (read, column)
-    with the first-occurrence position/flip per (read, k-mer) — exactly
-    the loop task's order.
+    with the first-occurrence position/flip per (read, k-mer).
     """
     table, scheme, reads = ctx
     lo, hi = task
@@ -124,9 +93,8 @@ def _a_scan_batch_task(ctx, task):
     flip = flip[ok].astype(np.int64)
     # Keep the first occurrence per (read, k-mer): entries arrive in
     # (read, pos) order, so np.unique's first-occurrence index over the
-    # composite (read, col) key lands on the earliest window — and its
-    # ascending value order is exactly the loop task's (read, ascending
-    # col) emission order.
+    # composite (read, col) key lands on the earliest window, emitted in
+    # (read, ascending col) order.
     comp = ridx * np.int64(len(table)) + col
     _, first = np.unique(comp, return_index=True)
     ridx, col, pos, flip = ridx[first], col[first], pos[first], flip[first]
@@ -136,7 +104,6 @@ def _a_scan_batch_task(ctx, task):
 def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
                    comm: SimComm, timer: StageTimer | None = None,
                    executor: Executor | None = None,
-                   impl: str | None = None,
                    scheme: SeedScheme | None = None) -> DistMat:
     """Construct the distributed |reads|×|k-mers| matrix ``A``.
 
@@ -144,21 +111,16 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
     in the reliable dictionary (a distributed-hash lookup in a real run)
     and routes the resulting ``(read, column, pos, flip)`` entries to their
     2D block owners; that routing is the ``CreateSpMat`` traffic.  The
-    per-rank scans are independent and run on ``executor``.
-
-    ``impl`` selects the scan engine (:func:`resolve_kmer_impl`):
-    ``"batch"`` runs each rank's scan as one vectorized
-    :meth:`~repro.seqs.seeding.SeedScheme.seeds_of_block` pass with
-    column-op lookup and dedup; ``"loop"`` scans read by read (the
-    reference oracle).  A is byte-identical either way.  ``scheme`` picks
-    which windows seed A (``None`` = full-k, the paper's every-window
-    behavior); sparse schemes shrink nnz(A) by their seed density while
-    the entry layout (first occurrence per (read, k-mer), position/flip
-    payload) is unchanged.
+    per-rank scans are independent and run on ``executor``, each as one
+    vectorized :meth:`~repro.seqs.seeding.SeedScheme.seeds_of_block` pass
+    with column-op lookup and dedup.  ``scheme`` picks which windows seed
+    A (``None`` = full-k, the paper's every-window behavior); sparse
+    schemes shrink nnz(A) by their seed density while the entry layout
+    (first occurrence per (read, k-mer), position/flip payload) is
+    unchanged.
     """
     timer = timer if timer is not None else StageTimer()
     executor = executor if executor is not None else SERIAL
-    impl = resolve_kmer_impl(impl)
     scheme = scheme if scheme is not None else FullKScheme(table.k)
     stage = "CreateSpMat"
     P = comm.nprocs
@@ -167,16 +129,11 @@ def build_a_matrix(reads: ReadSet, table: KmerTable, grid: ProcessGrid2D,
     bounds = block_bounds(n, P)
 
     spans = [(int(bounds[p]), int(bounds[p + 1])) for p in range(P)]
+    pre = np.concatenate(([0], np.cumsum(reads.lengths)))
     with timer.superstep(stage) as step:
-        if impl == "batch":
-            pre = np.concatenate(([0], np.cumsum(reads.lengths)))
-            parts, secs = executor.run_timed(
-                _a_scan_batch_task, spans, context=(table, scheme, reads),
-                weights=[int(pre[hi] - pre[lo]) for lo, hi in spans])
-        else:
-            parts, secs = executor.run_timed(
-                _a_scan_task, spans, context=(reads, table, scheme),
-                weights=[hi - lo for lo, hi in spans])
+        parts, secs = executor.run_timed(
+            _a_scan_task, spans, context=(table, scheme, reads),
+            weights=[int(pre[hi] - pre[lo]) for lo, hi in spans])
         step.charge_many(range(P), secs)
     rows_parts = [part[0] for part in parts if part is not None]
     cols_parts = [part[1] for part in parts if part is not None]
@@ -255,12 +212,12 @@ def _upper_triangle_mask(count: DistMat, col_offset: int = 0) -> DistMat:
 
 def summa_positions(A: DistMat, At: DistMat, comm: SimComm,
                     timer: StageTimer, backend: Backend,
-                    executor: Executor | None, spgemm_impl: str,
+                    executor: Executor | None,
                     col_offset: int = 0) -> DistMat:
-    """The candidate product ``C = A·Aᵀ`` under the positions semiring.
+    """The candidate product ``C = A·Aᵀ``, strict upper triangle only.
 
-    ``spgemm_impl="esc"`` runs the monolithic 7-field product.
-    ``"masked"`` decomposes it (the tentpole's CombBLAS-style split):
+    The 7-field positions product is decomposed the way CombBLAS's masked
+    SpGEMM would run it:
 
     1. the **count field** runs as a scalar PlusTimes product over the
        operands' unit-valued patterns — ``A``'s pattern is all-ones, so the
@@ -277,62 +234,38 @@ def summa_positions(A: DistMat, At: DistMat, comm: SimComm,
     and computes both sub-products from the received pair, so the count
     pass adds no traffic: it runs against a throwaway communicator, and the
     masked pass — broadcasting the same full 2-field blocks as the
-    monolithic product — carries the stage's entire (identical) volume.
-    Output, entry order, and the recorded SpGEMM peak (the full product's
-    footprint, which the count pattern sizes exactly) are all byte-identical
-    between the two engines.
+    unmasked product — carries the stage's entire volume.  The recorded
+    SpGEMM peak is the full (unpruned) product's footprint, which the count
+    pattern sizes exactly.  Output, entry order and accounting equal the
+    unmasked product followed by a triangle prune (the reference in
+    ``tests/reference/spgemm.py``).
     """
-    if spgemm_impl == "masked":
-        count = summa(_pattern_of(A), _pattern_of(At), PlusTimes(),
-                      SimComm(comm.nprocs, CommTracker(comm.nprocs)),
-                      "SpGEMM", timer, backend=backend, executor=executor)
-        timer.record_peak_bytes("SpGEMM",
-                                coo_nbytes(count.nnz(), C_NFIELDS))
-        mask = _upper_triangle_mask(count, col_offset)
-        return summa(A, At, PositionsSemiring(), comm, "SpGEMM", timer,
-                     backend=backend, executor=executor, mask=mask)
-    C = summa(A, At, PositionsSemiring(), comm, "SpGEMM", timer,
-              backend=backend, executor=executor)
-    # The candidate-matrix high-water mark: the full product as SUMMA
-    # produced it, before the triangle prune (what the blocked mode divides
-    # by its strip count).
-    timer.record_peak_bytes("SpGEMM", coo_nbytes(C.nnz(), C.nfields))
-    return C
+    count = summa(_pattern_of(A), _pattern_of(At), PlusTimes(),
+                  SimComm(comm.nprocs, CommTracker(comm.nprocs)),
+                  "SpGEMM", timer, backend=backend, executor=executor)
+    timer.record_peak_bytes("SpGEMM", coo_nbytes(count.nnz(), C_NFIELDS))
+    mask = _upper_triangle_mask(count, col_offset)
+    return summa(A, At, PositionsSemiring(), comm, "SpGEMM", timer,
+                 backend=backend, executor=executor, mask=mask)
 
 
 def candidate_overlaps(A: DistMat, comm: SimComm,
                        timer: StageTimer | None = None,
                        backend: Backend | str | None = None,
-                       executor: Executor | None = None,
-                       spgemm_impl: str | None = None) -> DistMat:
+                       executor: Executor | None = None) -> DistMat:
     """``C = A·Aᵀ`` via Sparse SUMMA, upper-triangle only.
 
     The product is symmetric (shared k-mer counts), so only ``i < j`` entries
     are kept for alignment; the symmetric R entries are regenerated after
-    alignment.  Diagonal entries (a read with itself) are discarded.
-    ``backend`` selects the local kernels (transpose, SpGEMM, filter);
-    ``executor`` parallelizes SUMMA's local block work; ``spgemm_impl``
-    (:func:`~repro.dsparse.masked.resolve_spgemm_impl`) picks the product
-    engine — ``"masked"`` decomposes count and seed passes
-    (:func:`summa_positions`), ``"esc"`` is the monolithic oracle.
+    alignment.  Diagonal entries (a read with itself) are discarded — the
+    triangle is the output mask of :func:`summa_positions`, so they are
+    never formed.  ``backend`` selects the local kernels (transpose,
+    SpGEMM); ``executor`` parallelizes SUMMA's local block work.
     """
     timer = timer if timer is not None else StageTimer()
     backend = get_backend(backend)
-    spgemm_impl = resolve_spgemm_impl(spgemm_impl)
     At = A.transpose(backend=backend)
-    C = summa_positions(A, At, comm, timer, backend, executor, spgemm_impl)
-    q = C.grid.q
-    rb, cbb = C.row_bounds, C.col_bounds
-    blocks = []
-    for i in range(q):
-        brow = []
-        for j in range(q):
-            b = C.blocks[i][j]
-            gr = b.row + rb[i]
-            gc = b.col + cbb[j]
-            brow.append(backend.select(b, gr < gc))
-        blocks.append(brow)
-    return DistMat(C.shape, C.grid, blocks, C.nfields)
+    return summa_positions(A, At, comm, timer, backend, executor)
 
 
 def exchange_reads(reads: ReadSet, grid: ProcessGrid2D, comm: SimComm,
@@ -372,31 +305,13 @@ def exchange_reads(reads: ReadSet, grid: ProcessGrid2D, comm: SimComm,
                 comm.tracker.record(stage, p, range_bytes(s_lo, s_hi), 1)
 
 
-def _align_one(reads: ReadSet, gi: int, gj: int, cval: np.ndarray,
-               k: int, mode: str, scoring: Scoring) -> AlignmentResult | None:
-    """Align one candidate pair using its stored seeds (best of up to two)."""
-    a, b = reads[gi], reads[gj]
-    best: AlignmentResult | None = None
-    seeds = [(int(cval[C_PA1]), int(cval[C_PB1]), int(cval[C_STRAND1]))]
-    if cval[C_PA2] >= 0:
-        seeds.append((int(cval[C_PA2]), int(cval[C_PB2]), int(cval[C_STRAND2])))
-    for pa, pb, strand in seeds:
-        if mode == "chain":
-            res = chain_extend(a.shape[0], b.shape[0], pa, pb, k, strand)
-        else:
-            res = seed_extend_align(a, b, pa, pb, k, strand, scoring)
-        if best is None or res.score > best.score:
-            best = res
-    return best
-
-
 def _dedup_second_seeds(cvals: np.ndarray, b_len: np.ndarray, k: int,
                         mode: str) -> np.ndarray:
     """Drop redundant second seeds so each pair extends the minimum needed.
 
-    A second seed is provably redundant — the per-pair loop would compute an
-    identical :class:`~repro.align.xdrop.AlignmentResult` for it and discard
-    it on the strictly-greater score test — when it **equals** the first
+    A second seed is provably redundant — it would yield an alignment
+    identical to the first's and lose the strictly-greater score test of
+    :func:`_align_pairs_batch` — when it **equals** the first
     (same ``pa/pb/strand``), or, in chain mode, when it shares the first
     seed's strand and oriented diagonal (the chain estimate depends on the
     seed only through that diagonal).  X-drop extensions from *different*
@@ -425,27 +340,6 @@ def _dedup_second_seeds(cvals: np.ndarray, b_len: np.ndarray, k: int,
     cvals[redundant, C_PB2] = -1
     cvals[redundant, C_STRAND2] = -1
     return cvals
-
-
-def _align_task(ctx, task):
-    """Executor task: align one candidate pair, filter, classify.
-
-    Returns the two directed R payload rows of a surviving dovetail overlap,
-    or ``None`` for pairs pruned by score or classification.
-    """
-    reads, k, mode, scoring, filt, fuzz = ctx
-    gi, gj, cval = task
-    res = _align_one(reads, gi, gj, cval, k, mode, scoring)
-    if res is None:
-        return None
-    olen = res.ea - res.ba
-    if not filt.passes(res.score, olen):
-        return None
-    oc = classify_overlap(reads[gi].shape[0], reads[gj].shape[0], res, fuzz)
-    if oc.kind != "dovetail":
-        return None
-    return ((oc.suffix_ij, oc.end_i, oc.end_j, oc.overlap_len),
-            (oc.suffix_ji, oc.end_j, oc.end_i, oc.overlap_len))
 
 
 #: Ceiling on candidate pairs per batch-kernel call (the ``max_items`` cap
@@ -501,8 +395,7 @@ def _align_pairs_batch(codes: np.ndarray, offsets: np.ndarray,
 
     Extends seed 1 of every pair and seed 2 of the pairs that carry one
     (post-dedup) through the batched engines, then keeps seed 2's result
-    exactly where its score is strictly greater — the same strictly-greater
-    rule as the per-pair loop's seed iteration.  Returns per-pair
+    exactly where its score is strictly greater.  Returns per-pair
     ``(score, ba, ea, bb, eb, strand)`` columns.
     """
     a_len = lengths[gi]
@@ -582,8 +475,7 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
                      scoring: Scoring | None = None,
                      filt: AlignmentFilter | None = None,
                      fuzz: int = 100,
-                     executor: Executor | None = None,
-                     impl: str | None = None) -> DistMat:
+                     executor: Executor | None = None) -> DistMat:
     """Pairwise-align all C nonzeros and build the overlap matrix ``R``.
 
     Alignment is the element-wise APPLY on C; score pruning is the PRUNE
@@ -592,76 +484,35 @@ def align_candidates(C: DistMat, reads: ReadSet, k: int, comm: SimComm,
     (the paper discards contained overlaps at the transitive-reduction
     boundary regardless of score, Section IV-D).
 
-    ``impl`` selects the alignment engine (:func:`resolve_align_impl`):
-
-    * ``"batch"`` (the ``auto`` default) packs the candidate pairs into
-      structure-of-arrays buffers and aligns **nnz-weighted chunks of
-      pairs** per executor task — one lockstep batched x-drop sweep per
-      chunk instead of one Python dispatch per pair; chunk compute time is
-      charged to the grid ranks owning each chunk's pairs in proportion to
-      their weight share.
-    * ``"loop"`` runs one executor task per pair (weighted by the two read
-      lengths — the x-drop cost driver), charged to the owning rank
-      exactly; it is the reference oracle the batch engine is pinned
-      against.
-
-    Either way survivors are appended in C's canonical block/entry order,
-    so R is byte-identical for every engine, executor, and worker count.
+    The candidate pairs are packed into structure-of-arrays buffers and
+    aligned in **nnz-weighted chunks of pairs** per executor task — one
+    batched x-drop (or chain) call per chunk instead of one Python dispatch
+    per pair.  Chunk compute time is charged to the grid ranks owning each
+    chunk's pairs in proportion to their weight share (the two read
+    lengths, the x-drop cost driver).  Survivors are appended in C's
+    canonical block/entry order, so R is byte-identical for every executor
+    and worker count.
     """
     timer = timer if timer is not None else StageTimer()
     scoring = scoring if scoring is not None else Scoring()
     filt = filt if filt is not None else AlignmentFilter()
     executor = executor if executor is not None else SERIAL
-    impl = resolve_align_impl(impl)
     stage = "Alignment"
     n = C.shape[0]
     lengths = reads.lengths
 
     gi, gj, cvals, ranks, weights = _gather_pairs(C, lengths)
     cvals = _dedup_second_seeds(cvals, lengths[gj], k, mode)
-
-    if impl == "batch":
-        row, col, vals = _run_batch_impl(reads, gi, gj, cvals, ranks,
-                                         weights, k, mode, scoring, filt,
-                                         fuzz, executor, timer, stage)
-    else:
-        row, col, vals = _run_loop_impl(reads, gi, gj, cvals, ranks,
-                                        weights, k, mode, scoring, filt,
-                                        fuzz, executor, timer, stage)
+    row, col, vals = _run_batch(reads, gi, gj, cvals, ranks, weights, k,
+                                mode, scoring, filt, fuzz, executor, timer,
+                                stage)
     timer.record_peak_bytes(stage, coo_nbytes(row.shape[0], R_NFIELDS))
     return DistMat.from_coo((n, n), C.grid, row, col, vals)
 
 
-def _run_loop_impl(reads, gi, gj, cvals, ranks, weights, k, mode, scoring,
-                   filt, fuzz, executor, timer, stage):
-    """Per-pair reference engine: one executor task per candidate pair."""
-    tasks = list(zip(gi.tolist(), gj.tolist(), cvals))
-    ctx = (reads, k, mode, scoring, filt, fuzz)
-    with timer.superstep(stage) as step:
-        results, secs = executor.run_timed(_align_task, tasks, context=ctx,
-                                           weights=weights.tolist())
-        step.charge_many(ranks.tolist(), secs)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    val_rows: list[tuple] = []
-    for (pair_i, pair_j, _), hit in zip(tasks, results):
-        if hit is None:
-            continue
-        rows.extend((pair_i, pair_j))
-        cols.extend((pair_j, pair_i))
-        val_rows.extend(hit)
-    if rows:
-        return (np.array(rows, dtype=np.int64),
-                np.array(cols, dtype=np.int64),
-                np.array(val_rows, dtype=np.int64))
-    return (np.empty(0, np.int64), np.empty(0, np.int64),
-            np.empty((0, R_NFIELDS), np.int64))
-
-
-def _run_batch_impl(reads, gi, gj, cvals, ranks, weights, k, mode, scoring,
-                    filt, fuzz, executor, timer, stage):
-    """Batched engine: nnz-weighted chunks of pairs per executor task."""
+def _run_batch(reads, gi, gj, cvals, ranks, weights, k, mode, scoring,
+               filt, fuzz, executor, timer, stage):
+    """Nnz-weighted chunks of pairs, one batched alignment task each."""
     n_pairs = gi.shape[0]
     if n_pairs == 0:
         with timer.superstep(stage):
@@ -685,8 +536,7 @@ def _run_batch_impl(reads, gi, gj, cvals, ranks, weights, k, mode, scoring,
             _align_chunk_task, tasks, context=ctx,
             weights=[float(weights[lo:hi].sum()) for lo, hi in spans])
         # Charge each chunk's measured compute to the grid ranks owning its
-        # pairs, split by weight share (the loop engine's per-pair charging,
-        # aggregated per rank).
+        # pairs, split by weight share.
         for (lo, hi), sec in zip(spans, secs):
             w = weights[lo:hi].astype(np.float64)
             total = float(w.sum())

@@ -24,11 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..align.batch import resolve_align_impl
 from ..align.xdrop import Scoring
 from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
-from ..dsparse.masked import resolve_spgemm_impl
 from ..exec import get_executor, resolve_workers
 from ..mpisim.comm import SimComm
 from ..mpisim.grid import ProcessGrid2D
@@ -37,8 +35,7 @@ from ..mpisim.tracker import CommTracker, StageTimer
 from ..resilience.faults import (FaultPlan, active_plan, current_plan,
                                  resolve_fault_plan)
 from ..seqs.fasta import ReadSet, read_fasta, read_fasta_to_store
-from ..seqs.kmer_counter import (count_kmers, reliable_upper_bound,
-                                 resolve_kmer_impl)
+from ..seqs.kmer_counter import count_kmers, reliable_upper_bound
 from ..seqs.read_store import resolve_read_store, resolve_store_dir
 from ..seqs.seeding import DEFAULT_SEED_W, make_scheme, resolve_seed_mode
 from .blocked import candidate_overlaps_blocked
@@ -78,33 +75,14 @@ class PipelineConfig:
     pure performance axis — output is byte-identical for every executor
     and worker count.
 
-    ``align_impl`` selects the alignment engine for the x-drop/chain
-    stage (:func:`repro.align.resolve_align_impl`): ``"batch"`` packs all
-    candidate pairs into structure-of-arrays buffers and extends them in
-    lockstep batched kernel sweeps (the fast path), ``"loop"`` dispatches
-    one Python call per pair (the reference oracle), ``"auto"`` honors the
-    ``REPRO_ALIGN_IMPL`` environment variable, else runs ``batch``.  Output
-    is byte-identical across engines.
-
-    ``spgemm_impl`` selects the engine for the two multi-field semiring
-    products (:func:`repro.dsparse.masked.resolve_spgemm_impl`):
-    ``"masked"`` decomposes ``C = A·Aᵀ`` into a native scalar count product
-    plus a mask-pruned ESC seed pass, and squares ``R`` under its own
-    pattern in transitive reduction; ``"esc"`` runs the monolithic
-    expand-sort-compress reference; ``"auto"`` honors
-    ``REPRO_SPGEMM_IMPL``, else runs ``masked``.  C, R, S, and the
-    communication records are byte-identical across engines (only the
-    ``TrReduction`` live-set peak differs — the masked ``N`` genuinely
-    holds fewer entries).
-
-    ``kmer_impl`` does the same for the k-mer stages
-    (:func:`repro.seqs.kmer_counter.resolve_kmer_impl`): ``"batch"`` runs
-    ``CountKmer`` extraction/admission/counting over sorted
-    structure-of-arrays tables and the ``CreateSpMat`` scan as one
-    vectorized pass per rank; ``"loop"`` keeps the per-read / per-key dict
-    reference oracle; ``"auto"`` honors ``REPRO_KMER_IMPL``, else runs
-    ``batch``.  The k-mer table, A, and everything downstream are
-    byte-identical across engines.
+    Each stage runs one engine: k-mer counting and the ``A`` scan over
+    sorted structure-of-arrays tables, ``C = A·Aᵀ`` as a native count
+    product plus a triangle-masked ESC seed pass, x-drop alignment in
+    batched structure-of-arrays sweeps (the compiled kernel of
+    :mod:`repro.align.native`, else the numpy sweep), and transitive
+    reduction squaring ``R`` under its own pattern.  The simpler reference
+    engines they are pinned against byte for byte live with the tests
+    (``tests/reference/``).
 
     ``overlap_mode`` selects the candidate-formation path: ``"monolithic"``
     forms all of ``C = A·Aᵀ`` at once, ``"blocked"`` strip-mines it
@@ -126,9 +104,9 @@ class PipelineConfig:
     ``benchmarks/bench_seed_mode.py``; ``"auto"`` honors
     ``REPRO_SEED_MODE``, else runs ``full``.  ``seed_w`` is the window
     parameter of the sketched schemes (ignored by ``full``).  Unlike the
-    ``*_impl`` axes this one intentionally changes output — but for a
-    fixed mode it stays byte-identical across executors, engines, strip
-    counts, and service batchings (schemes are pure per-read functions).
+    performance axes above this one intentionally changes output — but for
+    a fixed mode it stays byte-identical across executors, strip counts,
+    and service batchings (schemes are pure per-read functions).
 
     ``fault_plan`` arms deterministic fault injection for the run
     (:class:`repro.resilience.FaultPlan` spec grammar, e.g.
@@ -162,9 +140,6 @@ class PipelineConfig:
     k: int = 17
     nprocs: int = 1
     align_mode: str = "xdrop"
-    align_impl: str = "auto"
-    kmer_impl: str = "auto"
-    spgemm_impl: str = "auto"
     scoring: Scoring = field(default_factory=Scoring)
     filt: AlignmentFilter = field(default_factory=AlignmentFilter)
     fuzz: int = 150
@@ -205,9 +180,6 @@ class PipelineResult:
     tracker: CommTracker
     overlap_mode: str = "monolithic"
     n_strips: int = 1
-    align_impl: str = "batch"
-    kmer_impl: str = "batch"
-    spgemm_impl: str = "masked"
     seed_mode: str = "full"
     read_store: str = "inmem"
     #: The pre-reduction overlap matrix (global, canonical order).  The
@@ -314,9 +286,6 @@ def run_pipeline(reads: ReadSet, config: PipelineConfig | None = None, *,
     config = config if config is not None else PipelineConfig()
     backend = get_backend(config.backend)
     overlap_mode = resolve_overlap_mode(config.overlap_mode)
-    align_impl = resolve_align_impl(config.align_impl)
-    kmer_impl = resolve_kmer_impl(config.kmer_impl)
-    spgemm_impl = resolve_spgemm_impl(config.spgemm_impl)
     seed_mode = resolve_seed_mode(config.seed_mode)
     scheme = make_scheme(seed_mode, config.k, config.seed_w)
     checkpoint_dir = resolve_checkpoint_dir(config.checkpoint_dir)
@@ -335,17 +304,15 @@ def run_pipeline(reads: ReadSet, config: PipelineConfig | None = None, *,
         read_store = "mmap"
     try:
         return _run_pipeline_inner(
-            reads, config, backend, overlap_mode, align_impl, kmer_impl,
-            spgemm_impl, seed_mode, scheme, checkpoint_dir, read_store,
-            store_dir, read_fastq_seconds)
+            reads, config, backend, overlap_mode, seed_mode, scheme,
+            checkpoint_dir, read_store, store_dir, read_fastq_seconds)
     finally:
         if tmp_store is not None:
             shutil.rmtree(tmp_store, ignore_errors=True)
 
 
-def _run_pipeline_inner(reads, config, backend, overlap_mode, align_impl,
-                        kmer_impl, spgemm_impl, seed_mode, scheme,
-                        checkpoint_dir, read_store, store_dir,
+def _run_pipeline_inner(reads, config, backend, overlap_mode, seed_mode,
+                        scheme, checkpoint_dir, read_store, store_dir,
                         read_fastq_seconds):
     # Fault-plan precedence: an explicit config spec always arms a fresh
     # plan ("" pins the run fault-free); otherwise an already-armed plan
@@ -380,12 +347,12 @@ def _run_pipeline_inner(reads, config, backend, overlap_mode, align_impl,
                          resolve_workers(config.workers)) as ex:
         table = count_kmers(reads, config.k, comm, timer,
                             batches=config.kmer_batches, upper=upper,
-                            executor=ex, impl=kmer_impl, scheme=scheme,
+                            executor=ex, scheme=scheme,
                             table_budget=(budget.tables if budget else None),
                             spill_dir=store_dir)
 
         A = build_a_matrix(reads, table, grid, comm, timer, executor=ex,
-                           impl=kmer_impl, scheme=scheme)
+                           scheme=scheme)
         nnz_a = A.nnz()
         # Read exchange is issued right after partitioning so it overlaps
         # with counting and SpGEMM (paper Section IV-D); accounting order is
@@ -400,33 +367,29 @@ def _run_pipeline_inner(reads, config, backend, overlap_mode, align_impl,
                 A, reads, config.k, comm, plan.n_strips, timer,
                 mode=config.align_mode, scoring=config.scoring,
                 filt=config.filt, fuzz=config.fuzz, backend=backend,
-                executor=ex, align_impl=align_impl,
-                spgemm_impl=spgemm_impl, checkpoint_dir=checkpoint_dir)
+                executor=ex, checkpoint_dir=checkpoint_dir)
             nnz_c, R, n_strips = blk.nnz_c, blk.R, blk.n_strips
         else:
             C = candidate_overlaps(A, comm, timer, backend=backend,
-                                   executor=ex, spgemm_impl=spgemm_impl)
+                                   executor=ex)
             nnz_c = C.nnz()
             R = align_candidates(C, reads, config.k, comm, timer,
                                  mode=config.align_mode,
                                  scoring=config.scoring,
                                  filt=config.filt, fuzz=config.fuzz,
-                                 executor=ex, impl=align_impl)
+                                 executor=ex)
             n_strips = 1
         nnz_r = R.nnz()
         tr = transitive_reduction(R, comm, timer, fuzz=config.fuzz,
                                   max_rounds=config.max_tr_rounds,
-                                  backend=backend, executor=ex,
-                                  spgemm_impl=spgemm_impl)
+                                  backend=backend, executor=ex)
     S_global = tr.S.to_global()
     return PipelineResult(
         config=config, n_reads=len(reads), n_kmers=len(table),
         string_graph=StringGraph.from_coomat(S_global), S=S_global,
         nnz_a=nnz_a, nnz_c=nnz_c, nnz_r=nnz_r, nnz_s=tr.S.nnz(),
         tr_rounds=tr.rounds, timer=timer, tracker=tracker,
-        overlap_mode=overlap_mode, n_strips=n_strips,
-        align_impl=align_impl, kmer_impl=kmer_impl,
-        spgemm_impl=spgemm_impl, seed_mode=seed_mode,
+        overlap_mode=overlap_mode, n_strips=n_strips, seed_mode=seed_mode,
         read_store=read_store, R=R.to_global())
 
 

@@ -37,7 +37,6 @@ import numpy as np
 from ..dsparse.backend import Backend, get_backend
 from ..dsparse.distmat import DistMat
 from ..dsparse.elementwise import reduce_rows
-from ..dsparse.masked import resolve_spgemm_impl
 from ..dsparse.summa import summa
 from ..exec import Executor, SERIAL
 from ..mpisim.comm import SimComm
@@ -106,8 +105,7 @@ def transitive_reduction(R: DistMat, comm: SimComm,
                          timer: StageTimer | None = None, *,
                          fuzz: int = 150, max_rounds: int = 32,
                          backend: Backend | str | None = None,
-                         executor: Executor | None = None,
-                         spgemm_impl: str | None = None
+                         executor: Executor | None = None
                          ) -> TransitiveReductionResult:
     """Iterated distributed transitive reduction of the overlap matrix.
 
@@ -128,26 +126,24 @@ def transitive_reduction(R: DistMat, comm: SimComm,
     backend:
         Local-kernel backend for the squaring, reduction, and pruning
         (``N = R²`` is a 4-field MinPlus product, so every backend runs it
-        on the ESC kernel — masked to ``R``'s pattern under the masked
-        engine; the seam is still threaded for future kernels).
+        on the masked ESC kernel; the seam is still threaded for future
+        kernels).
     executor:
         :class:`~repro.exec.Executor` parallelizing each round's repeated
         SUMMA products (the runtime-dominating part of the loop) and the
         per-block mask + prune tasks; ``None`` runs them serially.
-    spgemm_impl:
-        SpGEMM engine (:func:`~repro.dsparse.masked.resolve_spgemm_impl`).
-        The transitive mask only consults ``N`` at ``nonzeros(R) ∩
-        nonzeros(N)``, so under ``"masked"`` the squaring passes ``R``'s own
-        pattern as the output mask — every product landing outside it is
-        wasted work, and on the symmetric overlap graph that is the
-        overwhelming majority.  Round counts and the surviving ``S`` are
-        byte-identical; only the recorded ``TrReduction`` live-set peak
-        shrinks (``N`` genuinely holds fewer entries).
+
+    The transitive mask only consults ``N`` at ``nonzeros(R) ∩
+    nonzeros(N)``, so the squaring passes ``R``'s own pattern as the output
+    mask — every product landing outside it is wasted work, and on the
+    symmetric overlap graph that is the overwhelming majority.  Round
+    counts and the surviving ``S`` equal those of the unmasked square (the
+    reference in ``tests/reference/spgemm.py``); the recorded
+    ``TrReduction`` live set (R + N) is the masked ``N``'s.
     """
     timer = timer if timer is not None else StageTimer()
     backend = get_backend(backend)
     executor = executor if executor is not None else SERIAL
-    spgemm_impl = resolve_spgemm_impl(spgemm_impl)
     grid = R.grid
     q = grid.q
     ij = [(i, j) for i in range(q) for j in range(q)]
@@ -159,8 +155,7 @@ def transitive_reduction(R: DistMat, comm: SimComm,
             break
         rounds += 1
         N = summa(R, R, BidirectedMinPlus(), comm, STAGE, timer,
-                  backend=backend, executor=executor,
-                  mask=R if spgemm_impl == "masked" else None)
+                  backend=backend, executor=executor, mask=R)
         # Live set while masking: the round's R plus its two-hop product N.
         timer.record_peak_bytes(STAGE, coo_nbytes(prev, R.nfields) +
                                 coo_nbytes(N.nnz(), N.nfields))

@@ -24,10 +24,7 @@ from .backend import (
 )
 from .spgemm import expand_products, packed_order, spgemm_esc, \
     spgemm_gustavson, multiway_merge
-from .masked import (
-    SPGEMM_IMPLS, SPGEMM_IMPL_ENV, DEFAULT_SPGEMM_IMPL,
-    resolve_spgemm_impl, mask_select, spgemm_esc_masked,
-)
+from .masked import mask_select, spgemm_esc_masked
 from .summa import summa
 from .elementwise import (
     reduce_rows, apply_vector, dimapply_rows, ewise_compare_mask,
@@ -43,8 +40,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "expand_products", "packed_order", "spgemm_esc", "spgemm_gustavson",
     "multiway_merge",
-    "SPGEMM_IMPLS", "SPGEMM_IMPL_ENV", "DEFAULT_SPGEMM_IMPL",
-    "resolve_spgemm_impl", "mask_select", "spgemm_esc_masked",
+    "mask_select", "spgemm_esc_masked",
     "summa",
     "reduce_rows", "apply_vector", "dimapply_rows", "ewise_compare_mask",
     "prune_mask", "apply_entries", "prune_entries",

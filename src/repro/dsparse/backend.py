@@ -35,15 +35,15 @@ Shipped backends
     explicit zeros that ESC keeps, so PlusTimes requires strictly positive
     values and BoolOr all-nonzero values to lower).
 
-Multi-field semirings always execute on the ESC kernels, but since the
-masked engine (``spgemm_impl="masked"``, PR 6) the *consumers* decompose
-them: the overlap stage computes the scalar count field natively and feeds
-the surviving pattern back as a mask for the multi-field seed pass, and
-transitive reduction squares ``R`` under its own pattern — so the ESC work
-left is proportional to the masked output, not the full product.  Every
-product still reports which path it took through :meth:`Backend.
-spgemm_with_path` (``"esc" | "masked_esc" | "csr" | "masked_csr"``), the
-hook the per-stage kernel-dispatch counters are built on.
+Multi-field semirings always execute on the ESC kernels, but the
+*consumers* decompose them: the overlap stage computes the scalar count
+field natively and feeds the surviving pattern back as a mask for the
+multi-field seed pass, and transitive reduction squares ``R`` under its
+own pattern — so the ESC work left is proportional to the masked output,
+not the full product.  Every product still reports which path it took
+through :meth:`Backend.spgemm_with_path` (``"esc" | "masked_esc" |
+"csr" | "masked_csr"``), the hook the per-stage kernel-dispatch counters
+are built on.
 
 ``auto``
     The default: per-call dispatch with exactly the ``scipy`` policy —

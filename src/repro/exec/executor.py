@@ -13,8 +13,8 @@ list:
   the tasks spend their time in kernels that release the GIL (numpy/scipy,
   the compiled x-drop kernel).
 * :class:`ProcessExecutor` — a fork-safe process pool for tasks that hold
-  the GIL (the per-pair x-drop loop); chunks are pickled to workers,
-  results shipped back.
+  the GIL (Python-level loops, the numpy x-drop fallback); chunks are
+  pickled to workers, results shipped back.
 
 All three share one contract, which is what makes ``--workers`` a pure
 performance axis:

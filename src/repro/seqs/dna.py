@@ -45,9 +45,9 @@ def encode(seq: str | bytes, rng: np.random.Generator | None = None, *,
 
     With ``strict`` any other byte (``N``, IUPAC codes, garbage) raises
     :class:`ValueError` naming the first one and its 1-based position —
-    the FASTA ingest mode.  Otherwise such bytes are replaced with a random
-    base when ``rng`` is given, else with ``A`` (what the service's
-    ``ingest`` still does).
+    the mode of every ingest path (FASTA files and the service's streamed
+    batches).  Otherwise such bytes are replaced with a random base when
+    ``rng`` is given, else with ``A``.
 
     Parameters
     ----------

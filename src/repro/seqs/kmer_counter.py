@@ -18,20 +18,14 @@ artifact.  With the paper's CLR parameters (k=17, e≈0.15, d=10–40) this mode
 lands on the small cutoffs the paper reports (they use max frequency 4 for
 H. sapiens).
 
-Two interchangeable engines drive the per-rank work, selected by ``impl``
-(:func:`resolve_kmer_impl`, mirroring the alignment engine's
-``loop | batch | auto`` switch):
-
-* ``"batch"`` — structure-of-arrays throughout: extraction is one
-  :func:`~repro.seqs.kmers.read_kmers_batch` sweep per rank over its SoA
-  read block, and the admission/count tables are **sorted arrays** updated
-  by merge (``np.searchsorted`` membership, vectorized accumulate) — no
-  per-key Python dict traffic anywhere.
-* ``"loop"`` — the original per-read extraction and ``dict[int, int]``
-  tables, kept as the reference oracle.
-
-The resulting :class:`KmerTable` (and the communication records) are
-byte-identical between the two — pinned by the parity and golden suites.
+The per-rank work is structure-of-arrays throughout: extraction is one
+:meth:`~repro.seqs.seeding.SeedScheme.seeds_of_block` sweep per rank over
+its SoA read block, and the admission/count tables are **sorted arrays**
+updated by merge (``np.searchsorted`` membership, vectorized accumulate) —
+no per-key Python dict traffic anywhere.  The resulting
+:class:`KmerTable` and communication records are pinned byte-identical to
+a per-read / per-key dict counter (``tests/reference/kmer.py``) by the
+parity and golden suites.
 """
 
 from __future__ import annotations
@@ -55,63 +49,22 @@ from .seeding import FullKScheme, SeedScheme
 from .spill import combine_histograms, merge_pair_runs, write_pair_run
 
 __all__ = ["KmerTable", "reliable_upper_bound", "count_kmers",
-           "KMER_IMPLS", "KMER_IMPL_ENV", "DEFAULT_KMER_IMPL",
-           "resolve_kmer_impl", "kmer_histogram", "merge_histograms",
-           "table_from_histogram"]
+           "kmer_histogram", "merge_histograms", "table_from_histogram"]
 
 STAGE = "CountKmer"
 
-#: K-mer engine names accepted by ``PipelineConfig.kmer_impl`` (plus
-#: ``"auto"``, which resolves through :func:`resolve_kmer_impl`).
-KMER_IMPLS = ("loop", "batch")
-
-#: Environment variable consulted by ``kmer_impl="auto"``.
-KMER_IMPL_ENV = "REPRO_KMER_IMPL"
-
-#: What ``"auto"`` resolves to when the environment does not override it.
-DEFAULT_KMER_IMPL = "batch"
-
-
-def resolve_kmer_impl(impl: str | None = None) -> str:
-    """Resolve a k-mer engine name to ``"loop"`` or ``"batch"``.
-
-    ``None`` and ``"auto"`` defer to the :data:`KMER_IMPL_ENV` environment
-    variable when set (mirroring ``REPRO_ALIGN_IMPL`` / ``REPRO_EXECUTOR``),
-    else pick :data:`DEFAULT_KMER_IMPL`; explicit names pass through
-    validated.  Both engines produce byte-identical output — the switch is a
-    pure performance axis, with ``loop`` kept as the reference oracle.
-    """
-    if impl is None:
-        impl = "auto"
-    if impl == "auto":
-        env = os.environ.get(KMER_IMPL_ENV, "").strip().lower()
-        impl = env if env and env != "auto" else DEFAULT_KMER_IMPL
-    if impl not in KMER_IMPLS:
-        raise ValueError(f"unknown kmer impl {impl!r}; expected one of "
-                         f"{', '.join(KMER_IMPLS + ('auto',))}")
-    return impl
-
-
 # -- executor tasks (module-level so the process pool can pickle them) ------
 
-def _extract_task(ctx, owned_idx):
-    """One rank's seed extraction over its block of reads (loop engine)."""
-    reads, scheme = ctx
-    parts = [scheme.seeds_of_read(reads[int(i)])[0] for i in owned_idx]
-    return np.concatenate(parts) if parts else np.empty(0, np.uint64)
-
-
-def _extract_batch_task(ctx, span):
-    """One rank's seed extraction as a single SoA sweep (batch engine).
+def _extract_task(ctx, span):
+    """One rank's seed extraction as a single SoA sweep.
 
     The task is the rank's read span ``(lo, hi)``; the worker takes its
     ``(codes, offsets, lengths)`` block from the ReadSet in the context
     (:meth:`~repro.seqs.fasta.ReadSet.soa_block`).  With the mmap read
     store a process pool ships only the store path and each worker pages
     in its own block; in-memory sets ride along in the (pre-pickled)
-    context.  Output order (read-major, window order within a read)
-    matches the loop engine's concatenation exactly for every
-    :class:`~repro.seqs.seeding.SeedScheme`.
+    context.  Output order is read-major, window order within a read,
+    for every :class:`~repro.seqs.seeding.SeedScheme`.
     """
     scheme, reads = ctx
     lo, hi = span
@@ -119,29 +72,17 @@ def _extract_batch_task(ctx, span):
 
 
 def _pass1_task(ctx, task):
-    """First-pass handling at one owner rank: Bloom insert + admission.
-
-    Takes and returns the rank's filter (the only cross-round state the
-    pass needs — with a process pool it is shipped back mutated, with
-    threads it is the same object) plus the keys the Bloom test admitted;
-    the admission table itself stays in the parent so it is never
-    pickled.
-    """
-    bloom, incoming = task
-    seen = bloom.add_and_test(incoming)
-    return bloom, incoming[seen]
-
-
-def _pass1_batch_task(ctx, task):
-    """First-pass handling at one owner rank, batch engine.
+    """First-pass handling at one owner rank: Bloom test + admission.
 
     Reduces the round's incoming k-mers to their ``(distinct key, count)``
     histogram once, probes/sets the Bloom filter once per *distinct* key
     (:meth:`~repro.seqs.bloom.BloomFilter.test_and_set`), and emits the
-    admitted distinct keys — exactly the key set the loop engine's
-    per-occurrence ``add_and_test`` + ``setdefault`` fold admits: a key is
-    admitted iff the pre-round filter knew it or it occurs at least twice
-    in the round.  The histogram rides back so pass 2 never recomputes it.
+    admitted distinct keys — exactly the key set a per-occurrence
+    ``add_and_test`` fold admits: a key is admitted iff the pre-round
+    filter knew it or it occurs at least twice in the round.  Takes and
+    returns the rank's filter (with a process pool it is shipped back
+    mutated, with threads it is the same object); the histogram rides back
+    so pass 2 never recomputes it.
     """
     bloom, incoming = task
     uniq, cnt = np.unique(incoming, return_counts=True)
@@ -153,26 +94,12 @@ def _pass1_batch_task(ctx, task):
 def _pass2_task(ctx, task):
     """Second-pass handling at one owner rank: exact counting.
 
-    ``admitted_keys`` is the rank's sorted admitted-key array — a compact
-    stand-in for the admission table, so membership is one vectorized
-    searchsorted instead of a Python dict probe per k-mer.  Returns the
-    (admitted key, count) arrays for the parent to fold into its table.
-    """
-    admitted_keys, incoming = task
-    if admitted_keys.shape[0] == 0 or incoming.size == 0:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    uniq, cnt = np.unique(incoming, return_counts=True)
-    return _histogram_hits(admitted_keys, uniq, cnt)
-
-
-def _pass2_batch_task(ctx, task):
-    """Second-pass handling, batch engine: count from the cached histogram.
-
     The per-round incoming set is identical in both passes (same k-mers,
-    same destinations, same round slicing), so the batch engine reuses the
+    same destinations, same round slicing), so pass 2 reuses the
     ``(uniq, cnt)`` histogram pass 1 computed instead of re-sorting the
     round's traffic — the exchange itself still runs for the communication
-    accounting.
+    accounting.  Returns the (admitted key, count) arrays for the parent to
+    fold into its table.
     """
     admitted_keys, uniq, cnt = task
     if admitted_keys.shape[0] == 0 or uniq.size == 0:
@@ -190,18 +117,7 @@ def _histogram_hits(admitted_keys: np.ndarray, uniq: np.ndarray,
 
 
 def _reliable_task(ctx, table):
-    """Reliable selection at one owner rank (loop engine's dict table)."""
-    lower, upper = ctx
-    if not table:
-        return np.empty(0, np.uint64), np.empty(0, np.int64)
-    kk = np.fromiter(table.keys(), dtype=np.uint64, count=len(table))
-    cc = np.fromiter(table.values(), dtype=np.int64, count=len(table))
-    keep = (cc >= lower) & (cc <= upper)
-    return kk[keep], cc[keep]
-
-
-def _reliable_batch_task(ctx, table):
-    """Reliable selection at one owner rank (batch engine's SoA table)."""
+    """Reliable selection at one owner rank's SoA table."""
     lower, upper = ctx
     keys, counts = table
     keep = (counts >= lower) & (counts <= upper)
@@ -233,20 +149,13 @@ def _merge_admitted(keys: np.ndarray, counts: np.ndarray,
     return cand, np.zeros(cand.shape[0], dtype=np.int64)
 
 
-def _group_by_dest_masks(sl: np.ndarray, dl: np.ndarray, nprocs: int
-                         ) -> list[np.ndarray]:
-    """Reference send-list construction: one boolean mask per rank."""
-    return [sl[dl == q] for q in range(nprocs)]
-
-
 def _group_by_dest_sorted(sl: np.ndarray, dl: np.ndarray, nprocs: int
                           ) -> list[np.ndarray]:
-    """Batch engine's send-list construction: one stable sort.
+    """Send-list construction: one stable sort by destination.
 
-    A stable sort by destination groups the k-mers per rank while
-    preserving their original relative order, so every per-destination
-    subarray is byte-identical to the mask-based reference — in one
-    pass instead of ``nprocs``.
+    A stable sort groups the k-mers per rank while preserving their
+    original relative order, so every per-destination subarray equals
+    ``sl[dl == q]`` — in one pass instead of ``nprocs``.
     """
     order = np.argsort(dl, kind="stable")
     sl = sl[order]
@@ -283,8 +192,8 @@ def _round_extract_task(ctx, task):
     ``[r0, r1)``, drop the first ``skip`` (they belong to earlier rounds)
     and keep ``take``.  Because seed extraction is read-major and
     :func:`~repro.seqs.kmers.splitmix64` is elementwise, slicing the
-    re-extracted stream is byte-identical to slicing the resident engine's
-    one-shot extraction — same keys, same destinations, same
+    re-extracted stream is byte-identical to slicing the resident
+    counter's one-shot extraction — same keys, same destinations, same
     stable-sorted per-destination subarrays, hence the same alltoallv
     traffic.
     """
@@ -435,19 +344,11 @@ def reliable_upper_bound(depth: float, error_rate: float, k: int,
     return max(4, upper)
 
 
-def _partition_reads(reads: ReadSet, nprocs: int) -> list[np.ndarray]:
-    """Balanced 1D block partition of read indices across ranks."""
-    bounds = block_bounds(len(reads), nprocs)
-    return [np.arange(bounds[p], bounds[p + 1], dtype=np.int64)
-            for p in range(nprocs)]
-
-
 def count_kmers(reads: ReadSet, k: int, comm: SimComm,
                 timer: StageTimer | None = None, *,
                 batches: int = 1, bloom_fp: float = 0.01,
                 lower: int = 2, upper: int = 8,
                 executor: Executor | None = None,
-                impl: str | None = None,
                 scheme: SeedScheme | None = None,
                 table_budget: int | None = None,
                 spill_dir: str | None = None) -> KmerTable:
@@ -473,12 +374,8 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
     executor:
         :class:`~repro.exec.Executor` spreading each superstep's per-rank
         work (extraction, Bloom handling, counting, selection) over real
-        workers; ``None`` keeps the serial reference loop.  The resulting
-        table is byte-identical either way.
-    impl:
-        K-mer engine (:func:`resolve_kmer_impl`): ``"batch"`` extracts and
-        counts through sorted structure-of-arrays tables, ``"loop"`` keeps
-        the per-read / per-key dict reference.  Byte-identical output.
+        workers; ``None`` runs them serially.  The resulting table is
+        byte-identical either way.
     scheme:
         :class:`~repro.seqs.seeding.SeedScheme` choosing which windows of
         each read are counted; ``None`` keeps the full-k default (every
@@ -486,14 +383,13 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
         hardwired path).
     table_budget:
         Optional byte ceiling for the resident per-rank tables.  When set
-        (and the batch engine with ``lower >= 2`` is active), counting
-        runs the out-of-core engine: each rank buffers per-round
-        histograms up to its ``table_budget / P`` share, spills them to
-        sorted disk runs, and k-way merges the runs at reliable-selection
-        time — byte-identical table and communication records, bounded
-        memory.  ``lower < 2`` (or the ``loop`` oracle) ignores the budget
-        and stays resident: below 2 the Bloom admission is not a pure
-        histogram filter, and the oracle's job is to be simple.
+        (and ``lower >= 2``), counting runs the out-of-core engine: each
+        rank buffers per-round histograms up to its ``table_budget / P``
+        share, spills them to sorted disk runs, and k-way merges the runs
+        at reliable-selection time — byte-identical table and
+        communication records, bounded memory.  ``lower < 2`` ignores the
+        budget and stays resident: below 2 the Bloom admission is not a
+        pure histogram filter.
     spill_dir:
         Directory under which the spill runs' temporary directory is
         created (``None`` = the system temp dir).  Always removed on exit.
@@ -506,9 +402,8 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
     P = comm.nprocs
     timer = timer if timer is not None else StageTimer()
     executor = executor if executor is not None else SERIAL
-    impl = resolve_kmer_impl(impl)
     scheme = scheme if scheme is not None else FullKScheme(k)
-    if table_budget is not None and impl == "batch" and lower >= 2:
+    if table_budget is not None and lower >= 2:
         return _count_kmers_spill(
             reads, k, comm, timer, batches=batches, lower=lower,
             upper=upper, executor=executor, scheme=scheme,
@@ -516,19 +411,12 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
     bounds = block_bounds(len(reads), P)
 
     # Extract (canonical) seed k-mers per rank once; reused by both passes.
+    spans = [(int(bounds[p]), int(bounds[p + 1])) for p in range(P)]
+    pre = np.concatenate(([0], np.cumsum(reads.lengths)))
     with timer.superstep(STAGE) as step:
-        if impl == "batch":
-            spans = [(int(bounds[p]), int(bounds[p + 1]))
-                     for p in range(P)]
-            pre = np.concatenate(([0], np.cumsum(reads.lengths)))
-            rank_kmers, secs = executor.run_timed(
-                _extract_batch_task, spans, context=(scheme, reads),
-                weights=[int(pre[hi] - pre[lo]) for lo, hi in spans])
-        else:
-            owned = _partition_reads(reads, P)
-            rank_kmers, secs = executor.run_timed(
-                _extract_task, owned, context=(reads, scheme),
-                weights=[idx.shape[0] for idx in owned])
+        rank_kmers, secs = executor.run_timed(
+            _extract_task, spans, context=(scheme, reads),
+            weights=[int(pre[hi] - pre[lo]) for lo, hi in spans])
         step.charge_many(range(P), secs)
 
     dest = [(splitmix64(km) % np.uint64(P)).astype(np.int64)
@@ -538,19 +426,13 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
     blooms = [BloomFilter(max(64, total_kmers // max(1, P)), bloom_fp)
               for _ in range(P)]
 
-    def group_by_dest(sl: np.ndarray, dl: np.ndarray) -> list[np.ndarray]:
-        if impl == "batch":
-            return _group_by_dest_sorted(sl, dl, P)
-        return _group_by_dest_masks(sl, dl, P)
-    # The batch engine builds each round's send lists once and replays them
-    # in pass 2 (both passes ship exactly the same k-mers to the same
-    # owners); the loop reference rebuilds them per pass.  The cache holds
-    # one dest-grouped copy of the extracted k-mers (~8 bytes each) across
-    # the stage — the price of skipping pass 2's regrouping sort.
+    # Each round's send lists are built once and replayed in pass 2 (both
+    # passes ship exactly the same k-mers to the same owners).  The cache
+    # holds one dest-grouped copy of the extracted k-mers (~8 bytes each)
+    # across the stage — the price of skipping pass 2's regrouping sort.
     send_cache: dict[int, list[list[np.ndarray]]] = {}
 
-    def exchange_rounds(run_round, *, cache_sends: bool = False,
-                        need_incoming: bool = True) -> None:
+    def exchange_rounds(run_round, *, need_incoming: bool = True) -> None:
         """One pass = ``batches`` alltoallv rounds + local handling."""
         for b in range(batches):
             send = send_cache.get(b)
@@ -560,9 +442,9 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
                     km = rank_kmers[p]
                     n = km.shape[0]
                     lo, hi = (n * b) // batches, (n * (b + 1)) // batches
-                    send.append(group_by_dest(km[lo:hi], dest[p][lo:hi]))
-                if cache_sends:
-                    send_cache[b] = send
+                    send.append(_group_by_dest_sorted(km[lo:hi],
+                                                      dest[p][lo:hi], P))
+                send_cache[b] = send
             recv = comm.alltoallv(send, stage=STAGE)
             incoming = [np.concatenate(recv[q]) if recv[q] else
                         np.empty(0, np.uint64) for q in range(P)] \
@@ -576,89 +458,48 @@ def count_kmers(reads: ReadSet, k: int, comm: SimComm,
             step.charge_many(range(P), secs)
         return out
 
-    if impl == "batch":
-        # Sorted-array SoA admission/count tables: setdefault is a merge,
-        # accumulation a vectorized scatter-add — maintained incrementally
-        # sorted, so no pass ever re-materializes key arrays.  Each round's
-        # (distinct key, count) histogram from pass 1 is kept for pass 2.
-        tab_keys = [np.empty(0, np.uint64) for _ in range(P)]
-        tab_counts = [np.empty(0, np.int64) for _ in range(P)]
-        histograms: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    # Sorted-array SoA admission/count tables: setdefault is a merge,
+    # accumulation a vectorized scatter-add — maintained incrementally
+    # sorted, so no pass ever re-materializes key arrays.  Each round's
+    # (distinct key, count) histogram from pass 1 is kept for pass 2.
+    tab_keys = [np.empty(0, np.uint64) for _ in range(P)]
+    tab_counts = [np.empty(0, np.int64) for _ in range(P)]
+    histograms: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
 
-        def pass1(b: int, incoming: list[np.ndarray]) -> None:
-            out = run_superstep(
-                _pass1_batch_task,
-                [(blooms[q], incoming[q]) for q in range(P)],
-                [inc.shape[0] for inc in incoming])
-            histograms[b] = []
-            for q, (bloom, admitted_q, uniq, cnt) in enumerate(out):
-                blooms[q] = bloom
-                histograms[b].append((uniq, cnt))
-                tab_keys[q], tab_counts[q] = _merge_admitted(
-                    tab_keys[q], tab_counts[q], admitted_q)
+    def pass1(b: int, incoming: list[np.ndarray]) -> None:
+        out = run_superstep(
+            _pass1_task,
+            [(blooms[q], incoming[q]) for q in range(P)],
+            [inc.shape[0] for inc in incoming])
+        histograms[b] = []
+        for q, (bloom, admitted_q, uniq, cnt) in enumerate(out):
+            blooms[q] = bloom
+            histograms[b].append((uniq, cnt))
+            tab_keys[q], tab_counts[q] = _merge_admitted(
+                tab_keys[q], tab_counts[q], admitted_q)
 
-        def pass2(b: int, incoming) -> None:
-            hist = histograms[b]
-            out = run_superstep(
-                _pass2_batch_task,
-                [(tab_keys[q],) + hist[q] for q in range(P)],
-                [hist[q][0].shape[0] for q in range(P)])
-            for q, (hit_keys, cnt) in enumerate(out):
-                if hit_keys.size:
-                    # hit_keys are unique within a round, so a plain fancy
-                    # add accumulates exactly once per key.
-                    tab_counts[q][np.searchsorted(tab_keys[q],
-                                                  hit_keys)] += cnt
+    def pass2(b: int, incoming) -> None:
+        hist = histograms[b]
+        out = run_superstep(
+            _pass2_task,
+            [(tab_keys[q],) + hist[q] for q in range(P)],
+            [hist[q][0].shape[0] for q in range(P)])
+        for q, (hit_keys, cnt) in enumerate(out):
+            if hit_keys.size:
+                # hit_keys are unique within a round, so a plain fancy
+                # add accumulates exactly once per key.
+                tab_counts[q][np.searchsorted(tab_keys[q], hit_keys)] += cnt
 
-        exchange_rounds(pass1, cache_sends=True)
-        exchange_rounds(pass2, need_incoming=False)
-        rel_tables: list = list(zip(tab_keys, tab_counts))
-        rel_fn = _reliable_batch_task
-        rel_weights = [kk.shape[0] for kk in tab_keys]
-    else:
-        admitted: list[dict[int, int]] = [dict() for _ in range(P)]
-
-        def pass1(b: int, incoming: list[np.ndarray]) -> None:
-            out = run_superstep(
-                _pass1_task,
-                [(blooms[q], incoming[q]) for q in range(P)],
-                [inc.shape[0] for inc in incoming])
-            for q, (bloom, new_keys) in enumerate(out):
-                blooms[q] = bloom
-                table = admitted[q]
-                for kv in new_keys:
-                    table.setdefault(int(kv), 0)
-
-        def pass2(b: int, incoming: list[np.ndarray]) -> None:
-            out = run_superstep(
-                _pass2_task,
-                [(pass2_keys[q], incoming[q]) for q in range(P)],
-                [inc.shape[0] for inc in incoming])
-            for q, (hit_keys, counts) in enumerate(out):
-                table = admitted[q]
-                for kv, c in zip(hit_keys, counts):
-                    table[int(kv)] += int(c)
-
-        exchange_rounds(pass1)
-        # The admitted key sets are frozen once pass 1 completes, so the
-        # sorted key arrays the pass-2 workers search are materialized
-        # exactly once — not per exchange round (the old per-batch
-        # ``np.fromiter`` rebuild was O(table) extra work per round).
-        pass2_keys = [np.sort(np.fromiter(admitted[q].keys(),
-                                          dtype=np.uint64,
-                                          count=len(admitted[q])))
-                      for q in range(P)]
-        exchange_rounds(pass2)
-        rel_tables = list(admitted)
-        rel_fn = _reliable_task
-        rel_weights = [len(t) for t in admitted]
+    exchange_rounds(pass1)
+    exchange_rounds(pass2, need_incoming=False)
 
     # Reliable selection + global dictionary assembly (an allgather of the
     # per-rank reliable sets; column ids are the sorted order).
     with timer.superstep(STAGE) as step:
         rel_parts, secs = executor.run_timed(
-            rel_fn, rel_tables, context=(lower, upper),
-            weights=rel_weights)
+            _reliable_task, list(zip(tab_keys, tab_counts)),
+            context=(lower, upper),
+            weights=[kk.shape[0] for kk in tab_keys])
         step.charge_many(range(P), secs)
     comm.allgather([p[0] for p in rel_parts], stage=STAGE)
     all_k = np.concatenate([p[0] for p in rel_parts])
@@ -675,7 +516,7 @@ def _count_kmers_spill(reads: ReadSet, k: int, comm: SimComm,
                        ) -> KmerTable:
     """Out-of-core counting: spillable sorted-run tables, exact output.
 
-    The resident batch engine holds three table-shaped giants: the full
+    The resident counter holds three table-shaped giants: the full
     extracted seed stream, the cached per-round send lists, and the
     per-rank admission/count tables.  This engine bounds all three at a
     ``table_budget`` while producing the *identical* :class:`KmerTable`
@@ -687,7 +528,7 @@ def _count_kmers_spill(reads: ReadSet, k: int, comm: SimComm,
        plus skip/take offsets.
     2. **Pass 1, per round** — re-extract exactly that slice, hash and
        stable-group by owner (byte-identical send lists to the resident
-       engine, see :func:`_round_extract_task`), exchange, and reduce each
+       counter, see :func:`_round_extract_task`), exchange, and reduce each
        owner's incoming to its ``(distinct key, count)`` histogram.
        Owners buffer histograms up to their ``table_budget / P`` share,
        then merge-sum and flush a sorted run to disk

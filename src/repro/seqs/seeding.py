@@ -29,8 +29,9 @@ the full-k scheme is an exact passthrough and every downstream consumer
 (counting, A construction, occurrence tables) is scheme-agnostic.
 
 The ``seed_mode`` axis resolves through :func:`resolve_seed_mode`
-(``auto`` → :data:`SEED_MODE_ENV` → ``full``), mirroring the
-``align_impl`` / ``kmer_impl`` / ``spgemm_impl`` switches.
+(``auto`` → :data:`SEED_MODE_ENV` → ``full``), like the pipeline's other
+environment-overridable axes (``REPRO_OVERLAP_MODE``,
+``REPRO_READ_STORE``).
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ def resolve_seed_mode(mode: str | None = None) -> str:
     """Resolve a seeding mode name to one of :data:`SEED_MODES`.
 
     ``None`` and ``"auto"`` defer to the :data:`SEED_MODE_ENV` environment
-    variable when set (mirroring ``REPRO_ALIGN_IMPL`` / ``REPRO_KMER_IMPL``),
-    else pick :data:`DEFAULT_SEED_MODE` (``full`` — the byte-identical
-    paper behavior); explicit names pass through validated.
+    variable when set (mirroring ``REPRO_OVERLAP_MODE``), else pick
+    :data:`DEFAULT_SEED_MODE` (``full`` — the byte-identical paper
+    behavior); explicit names pass through validated.
     """
     if mode is None:
         mode = "auto"

@@ -1,12 +1,11 @@
 """Service configuration and the ``refresh_mode`` correctness axis.
 
-``refresh_mode`` mirrors the pipeline's ``align_impl`` / ``kmer_impl`` /
-``spgemm_impl`` switches: two interchangeable engines with byte-identical
-output, one fast (``incremental`` — fold the batch into the live state via
-delta products) and one reference oracle (``recompute`` — rerun
-:func:`~repro.core.pipeline.run_pipeline` from scratch on the concatenated
-reads).  ``"auto"`` defers to the :data:`REFRESH_MODE_ENV` environment
-variable so CI can pin either engine across a whole test leg.
+``refresh_mode`` selects between two interchangeable engines with
+byte-identical output, one fast (``incremental`` — fold the batch into the
+live state via delta products) and one reference oracle (``recompute`` —
+rerun :func:`~repro.core.pipeline.run_pipeline` from scratch on the
+concatenated reads).  ``"auto"`` defers to the :data:`REFRESH_MODE_ENV`
+environment variable so CI can pin either engine across a whole test leg.
 """
 
 from __future__ import annotations

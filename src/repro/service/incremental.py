@@ -68,7 +68,6 @@ from dataclasses import replace
 import numpy as np
 import scipy.sparse as sp
 
-from ..align.batch import resolve_align_impl
 from ..core.contigs import extract_contigs
 from ..core.overlap import (align_candidates, charge_a_routing,
                             exchange_reads)
@@ -79,7 +78,6 @@ from ..core.transitive_reduction import transitive_reduction
 from ..dsparse.backend import get_backend
 from ..dsparse.coomat import CooMat
 from ..dsparse.distmat import DistMat
-from ..dsparse.masked import resolve_spgemm_impl
 from ..dsparse.summa import summa, summa_comm_replay
 from ..exec import get_executor, resolve_workers
 from ..mpisim.comm import SimComm
@@ -417,9 +415,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
             Rd = align_candidates(Cd, combined, k, shadow, timer,
                                   mode=pcfg.align_mode,
                                   scoring=pcfg.scoring, filt=pcfg.filt,
-                                  fuzz=pcfg.fuzz, executor=ex,
-                                  impl=resolve_align_impl(pcfg.align_impl)
-                                  ).to_global()
+                                  fuzz=pcfg.fuzz, executor=ex).to_global()
             cd_pack = Cd.to_global()
             cd_pack = cd_pack.row * np.int64(n) + cd_pack.col
         else:
@@ -447,8 +443,7 @@ def _incremental(state: AssemblyState, batch: ReadSet,
                                   R_global.vals)
         tr = transitive_reduction(
             R_dist, comm, timer, fuzz=pcfg.fuzz,
-            max_rounds=pcfg.max_tr_rounds, backend=backend, executor=ex,
-            spgemm_impl=resolve_spgemm_impl(pcfg.spgemm_impl))
+            max_rounds=pcfg.max_tr_rounds, backend=backend, executor=ex)
 
     S_global = tr.S.to_global()
     graph = StringGraph.from_coomat(S_global)

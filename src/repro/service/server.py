@@ -51,8 +51,9 @@ MAX_BODY_BYTES = 256 * 1024 * 1024
 
 
 class BadBatch(ValueError):
-    """The ingest payload itself is invalid (e.g. non-DNA characters) —
-    a client error (HTTP 400), distinct from a state conflict (409)."""
+    """The ingest payload itself is invalid (e.g. a non-ACGT base) — a
+    client error (HTTP 400, code ``bad-batch``), distinct from a state
+    conflict (409)."""
 
 
 class RefreshFailed(RuntimeError):
@@ -94,10 +95,22 @@ class AssemblyService:
         All-or-nothing: the new state is built entirely outside the store,
         so a refresh failure (raised as :class:`RefreshFailed`) leaves the
         current version, its cache entries, and concurrent readers
-        untouched.
+        untouched.  Bases are encoded strictly, like FASTA ingest: an
+        ``N`` or IUPAC code anywhere refuses the whole batch with
+        :class:`BadBatch` naming the read, its batch index and the
+        1-based position, before anything is refreshed.
         """
+        names = list(names)
+        codes = []
+        for b, s in enumerate(seqs):
+            try:
+                codes.append(encode(s, strict=True))
+            except ValueError as exc:
+                name = names[b] if b < len(names) else None
+                raise BadBatch(f"read {name!r} (batch index {b}): "
+                               f"{exc}") from exc
         try:
-            batch = ReadSet(list(names), [encode(s) for s in seqs])
+            batch = ReadSet(names, codes)
         except ValueError as exc:
             raise BadBatch(str(exc)) from exc
         with self._ingest_lock:

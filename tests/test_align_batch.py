@@ -6,12 +6,12 @@ random batches, and the numpy sweep takes over — announced, with its
 reason — whenever the kernel cannot be built.
 
 The batch engine's contract is *byte identity* with the per-pair reference
-for every input — same R entries, same coordinates, same payloads — since
-``align_impl`` must be a pure performance axis.  These tests pin that
-contract with hypothesis-driven random read sets (both strands, both
-alignment modes, boundary seeds) plus the edge cases a lockstep sweep can
-get wrong: empty batches, empty extension sides, pairs that all retire in
-round 0, and filters that prune everything.
+engine (``tests/reference/align.py``) for every input — same R entries,
+same coordinates, same payloads.  These tests pin that contract with
+hypothesis-driven random read sets (both strands, both alignment modes,
+boundary seeds) plus the edge cases a lockstep sweep can get wrong: empty
+batches, empty extension sides, pairs that all retire in round 0, and
+filters that prune everything.
 """
 
 import itertools
@@ -25,12 +25,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import reference.align
+from reference.align import (chain_extend, seed_extend_align, xdrop_extend,
+                             xdrop_extend_dp)
 from repro.align import batch as batch_mod
 from repro.align import native
 from repro.align.batch import (chain_extend_batch, extend_seeds_xdrop_batch,
-                               resolve_align_impl, xdrop_extend_batch)
-from repro.align.xdrop import (Scoring, chain_extend, seed_extend_align,
-                               xdrop_extend, xdrop_extend_dp)
+                               xdrop_extend_batch)
+from repro.align.xdrop import Scoring
 from repro.core.overlap import AlignmentFilter, align_candidates
 from repro.core.semirings import C_NFIELDS
 from repro.dsparse.distmat import DistMat
@@ -447,7 +449,7 @@ def test_seed_extension_parity_random(seed):
 
 
 # ---------------------------------------------------------------------------
-# align_candidates parity: impl="loop" vs impl="batch" on synthetic C.
+# align_candidates parity: per-pair reference vs batch engine on synthetic C.
 # ---------------------------------------------------------------------------
 
 def _make_candidates(reads, entries, nprocs=4):
@@ -470,13 +472,17 @@ def _make_candidates(reads, entries, nprocs=4):
     return DistMat.empty((n, n), grid, C_NFIELDS)
 
 
+#: The two engines under test: "loop" is the per-pair reference.
+ENGINES = {"loop": reference.align.align_candidates,
+           "batch": align_candidates}
+
+
 def _align_both(reads, C, mode="xdrop", filt=None, fuzz=10, executor=None):
     out = []
-    for impl in ("loop", "batch"):
+    for engine in ENGINES.values():
         comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
-        R = align_candidates(C, reads, K, comm, StageTimer(), mode=mode,
-                             filt=filt, fuzz=fuzz, executor=executor,
-                             impl=impl)
+        R = engine(C, reads, K, comm, StageTimer(), mode=mode, filt=filt,
+                   fuzz=fuzz, executor=executor)
         out.append(R.to_global())
     return out
 
@@ -576,7 +582,7 @@ def test_batch_impl_identical_across_executors(executor, workers):
         with ex:
             R = align_candidates(C, reads, K, comm, StageTimer(),
                                  mode="xdrop", filt=filt, fuzz=30,
-                                 executor=ex, impl="batch")
+                                 executor=ex)
         return R.to_global()
 
     ref = run(get_executor("serial", 1))
@@ -600,13 +606,12 @@ def test_duplicate_second_seed_leaves_r_unchanged(mode):
         seed = (int(lengths[0]) // 3, int(lengths[1]) // 3, strand)
         dup = _make_candidates(reads, [(0, 1, seed, seed)])
         single = _make_candidates(reads, [(0, 1, seed, None)])
-        for impl in ("loop", "batch"):
+        for engine in ENGINES.values():
             out = []
             for C in (dup, single):
                 comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
-                R = align_candidates(C, reads, K, comm, StageTimer(),
-                                     mode=mode, filt=filt, fuzz=30,
-                                     impl=impl)
+                R = engine(C, reads, K, comm, StageTimer(), mode=mode,
+                           filt=filt, fuzz=30)
                 out.append(R.to_global())
             _assert_same(out[0], out[1])
 
@@ -623,28 +628,9 @@ def test_same_diagonal_second_seed_chain_mode():
         C = _make_candidates(reads, entries)
         comm = SimComm(C.grid.nprocs, CommTracker(C.grid.nprocs))
         return align_candidates(C, reads, K, comm, StageTimer(),
-                                mode="chain", filt=filt, fuzz=30,
-                                impl="batch").to_global()
+                                mode="chain", filt=filt, fuzz=30).to_global()
 
     seed1 = (30, 10, 0)
     same_diag = (45, 25, 0)       # pa - pb identical -> same diagonal
     ref = r_of([(0, 1, seed1, None)])
     _assert_same(r_of([(0, 1, seed1, same_diag)]), ref)
-
-
-# ---------------------------------------------------------------------------
-# The impl switch.
-# ---------------------------------------------------------------------------
-
-def test_resolve_align_impl(monkeypatch):
-    monkeypatch.delenv("REPRO_ALIGN_IMPL", raising=False)
-    assert resolve_align_impl(None) == "batch"
-    assert resolve_align_impl("auto") == "batch"
-    assert resolve_align_impl("loop") == "loop"
-    assert resolve_align_impl("batch") == "batch"
-    monkeypatch.setenv("REPRO_ALIGN_IMPL", "loop")
-    assert resolve_align_impl("auto") == "loop"
-    assert resolve_align_impl(None) == "loop"
-    assert resolve_align_impl("batch") == "batch"  # explicit beats env
-    with pytest.raises(ValueError):
-        resolve_align_impl("vectorized")

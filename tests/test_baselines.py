@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import reference.align
+from repro.baselines import dibella1d
 from repro.baselines import (myers_transitive_reduction, run_dibella1d,
                              run_minimap_like, sora_transitive_reduction)
 from repro.core.string_graph import StringGraph
@@ -92,6 +94,31 @@ def test_1d_candidates_match_2d(clean_dataset, oned_run):
     A = build_a_matrix(reads, table, ProcessGrid2D(1), comm, timer)
     C = candidate_overlaps(A, comm, timer)
     assert oned_run.n_candidate_pairs == C.nnz()
+
+
+def _per_pair_chunk_task(ctx, task):
+    """The per-pair reference engine in the batched task's shape: two
+    directed R rows per surviving dovetail (only the row count is used)."""
+    rows = []
+    for gi, gj, cval in zip(*task):
+        if reference.align._align_task(ctx, (int(gi), int(gj), cval)):
+            rows += [int(gi), int(gj)]
+    return np.array(rows, dtype=np.int64), None, None
+
+
+@pytest.mark.parametrize("mode", ["xdrop", "chain"])
+def test_1d_alignment_matches_per_pair_reference(clean_dataset, monkeypatch,
+                                                 mode):
+    """The 1D baseline aligns on the 2D pipeline's batched kernel; its
+    counts equal the per-pair reference engine's on the same candidates."""
+    _genome, reads, _layout = clean_dataset
+    kwargs = dict(k=17, nprocs=4, align_mode=mode, depth_hint=12,
+                  error_hint=0.0, kmer_upper=40)
+    got = run_dibella1d(reads, **kwargs)
+    monkeypatch.setattr(dibella1d, "_align_chunk_task", _per_pair_chunk_task)
+    ref = run_dibella1d(reads, **kwargs)
+    assert got.n_overlaps == ref.n_overlaps > 0
+    assert got.n_candidate_pairs == ref.n_candidate_pairs
 
 
 def test_1d_comm_exceeds_2d_at_moderate_p(clean_dataset):

@@ -87,9 +87,6 @@ def test_parser_defaults_match_pipeline_config():
         assert args.k == cfg.k
         assert args.nprocs == cfg.nprocs
         assert args.align_mode == cfg.align_mode
-        assert args.align_impl == cfg.align_impl
-        assert args.kmer_impl == cfg.kmer_impl
-        assert args.spgemm_impl == cfg.spgemm_impl
         assert args.fuzz == cfg.fuzz
         assert args.depth_hint == cfg.depth_hint
         assert args.error_hint == cfg.error_hint
@@ -105,17 +102,6 @@ def test_parser_defaults_match_pipeline_config():
         assert args.store_dir == cfg.store_dir
 
 
-def test_stats_prints_kmer_engine(tmp_path, capsys):
-    reads = tmp_path / "reads.fa"
-    main(["simulate", str(reads), "--genome-length", "6000",
-          "--depth", "8", "--error-rate", "0.0", "--seed", "2"])
-    rc = main(["stats", str(reads), "--nprocs", "1", "--fuzz", "20",
-               "--depth-hint", "8", "--error-hint", "0.0",
-               "--kmer-impl", "loop"])
-    assert rc == 0
-    assert "k-mer counting: loop engine" in capsys.readouterr().out
-
-
 def test_stats_names_xdrop_kernel(tmp_path, capsys):
     """The x-drop kernel that ran is on the alignment line: "compiled", or
     the numpy fallback with its reason — a 20x slowdown is never silent."""
@@ -123,15 +109,16 @@ def test_stats_names_xdrop_kernel(tmp_path, capsys):
     main(["simulate", str(reads), "--genome-length", "6000",
           "--depth", "8", "--error-rate", "0.0", "--seed", "2"])
     common = ["stats", str(reads), "--nprocs", "1", "--fuzz", "20",
-              "--depth-hint", "8", "--error-hint", "0.0",
-              "--align-impl", "batch"]
+              "--depth-hint", "8", "--error-hint", "0.0"]
     capsys.readouterr()
     assert main(common + ["--align-mode", "xdrop"]) == 0
-    assert (f"alignment: xdrop mode, batch engine, x-drop kernel: "
-            f"{native.kernel_name()}\n") in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert (f"alignment: xdrop mode, x-drop kernel: "
+            f"{native.kernel_name()}\n") in out
+    # The retired engine lines are gone: one engine per stage.
+    assert "k-mer counting:" not in out and "spgemm:" not in out
     assert main(common + ["--align-mode", "chain"]) == 0
-    assert "alignment: chain mode, batch engine\n" in \
-        capsys.readouterr().out
+    assert "alignment: chain mode\n" in capsys.readouterr().out
 
 
 def test_parser_memory_budget_suffixes():
@@ -168,9 +155,6 @@ def test_serve_parser_defaults_match_config():
     assert args.k == cfg.k
     assert args.nprocs == cfg.nprocs
     assert args.align_mode == cfg.align_mode
-    assert args.align_impl == cfg.align_impl
-    assert args.kmer_impl == cfg.kmer_impl
-    assert args.spgemm_impl == cfg.spgemm_impl
     assert args.fuzz == cfg.fuzz
     assert args.depth_hint == cfg.depth_hint
     assert args.error_hint == cfg.error_hint

@@ -1,12 +1,13 @@
 """Golden end-to-end snapshot suite.
 
-Every PR so far has *claimed* "byte-identical output" along some axis —
-backends (PR 1), executors (PR 2), blocked overlap (PR 3), alignment
-engines (PR 4), k-mer engines (PR 5).  This suite finally pins the claim
-globally: one fixed-seed dataset runs through the full pipeline across the
-``executor × overlap-mode × align-impl × kmer-impl`` cross-product, and the
-digests of S, R, the contig layout, the communication records, and the
-peak-memory marks must all equal the stored golden values.
+The pipeline claims "byte-identical output" along every performance axis —
+backends, executors, blocked overlap, and the fast engines against their
+reference implementations (``tests/reference/``).  This suite pins the
+claim globally: one fixed-seed dataset runs through the full pipeline
+across the ``executor × overlap-mode`` cross-product, and the digests of S,
+R, the contig layout, the communication records, and the peak-memory marks
+must all equal the stored golden values.  R is also rebuilt stage by stage
+from every combination of product and reference k-mer / alignment engine.
 
 If a future PR *intentionally* changes pipeline output, it must update the
 ``GOLDEN`` constants below (the assertion message prints the new digests) —
@@ -23,14 +24,14 @@ import itertools
 import numpy as np
 import pytest
 
+import reference.align
+import reference.kmer
+from repro.core import overlap
 from repro.core.contigs import extract_contigs
-from repro.core.overlap import (align_candidates, build_a_matrix,
-                                candidate_overlaps)
 from repro.core.pipeline import PipelineConfig, run_pipeline
-from repro.dsparse.masked import resolve_spgemm_impl
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
-from repro.seqs.kmer_counter import count_kmers
+from repro.seqs import kmer_counter
 
 K = 17
 NPROCS = 4
@@ -38,8 +39,14 @@ KMER_UPPER = 24
 
 EXECUTORS = [("serial", 1), ("thread", 3), ("process", 2)]
 OVERLAP_MODES = ["monolithic", "blocked"]
-ALIGN_IMPLS = ["loop", "batch"]
-KMER_IMPLS = ["loop", "batch"]
+
+#: Stage engines of the R rebuild: the product's ("batch") or the per-pair /
+#: per-read reference's ("loop").
+ALIGN_ENGINES = {"batch": overlap.align_candidates,
+                 "loop": reference.align.align_candidates}
+KMER_ENGINES = {"batch": (kmer_counter.count_kmers, overlap.build_a_matrix),
+                "loop": (reference.kmer.count_kmers,
+                         reference.kmer.build_a_matrix)}
 
 #: Golden digests of the fixed-seed run.  S and the contig layout are
 #: invariant across *every* axis; the communication records and peak marks
@@ -47,14 +54,12 @@ KMER_IMPLS = ["loop", "batch"]
 #: between monolithic and blocked candidate formation (blocked runs one
 #: SUMMA per strip and holds smaller candidate peaks — that is its point).
 #:
-#: PR 6 (masked SpGEMM engine) updated only the two ``peaks`` digests:
-#: under the now-default masked engine the transitive reduction squares R
-#: within R's own pattern, so the recorded ``TrReduction`` live set
-#: (R + N) genuinely shrinks (180288 → 93600 bytes here).  Every other
-#: digest — S, R, contigs, counts, both trackers, and the ``SpGEMM``
-#: peak inside the peaks dicts — is byte-identical to the PR 5 values;
-#: ``test_golden_pipeline_esc_engine`` still pins the full pre-PR-6 peaks
-#: through the ESC oracle.
+#: The two ``peaks`` digests record the masked transitive reduction, which
+#: squares R within R's own pattern, so its ``TrReduction`` live set
+#: (R + N) is smaller than the unmasked square's (93600 vs 180288 bytes
+#: here).  Every other digest — S, R, contigs, counts, both trackers, and
+#: the ``SpGEMM`` peak inside the peaks dicts — predates the masked engine
+#: and is unchanged by it.
 GOLDEN = {
     "S": "bce02a9f21bd33e20a0a076940bb08a6c1e628435f6bd9fe8301ea8e43211ad2",
     "R": "50d4eaa5a0aa3dc9fd206419f558d12b2fe60398c87b566fada2cf168afbe93a",
@@ -71,14 +76,6 @@ GOLDEN = {
             "710cc8a302621b111d4e9087898d7e42bdad01381eaefa2e4df29ae81bec82da",
         "blocked":
             "0caa120861bd85567e14156e31e075a72fc03717fef79215330fc538e5f5bcea",
-    },
-    # The monolithic/blocked peaks of the ESC (pre-PR-6 default) engine,
-    # whose TrReduction live set is the full unmasked N.
-    "peaks_esc": {
-        "monolithic":
-            "8f1c6d1424630f3b0ed71e3f125dd77e3f488c3072400deab3e413934365692d",
-        "blocked":
-            "a3076683323e2272c31b93bf693cd39c4571d67c31e861a99e3f5f079685ea17",
     },
 }
 
@@ -127,29 +124,24 @@ def _peaks_digest(timer) -> str:
     return _sha_text(repr(sorted(peaks.items())))
 
 
-def _config(executor, workers, overlap_mode, align_impl, kmer_impl,
-            spgemm_impl="auto"):
+def _config(executor, workers, overlap_mode):
     return PipelineConfig(
         k=K, nprocs=NPROCS, align_mode="xdrop", fuzz=60,
         kmer_upper=KMER_UPPER, executor=executor, workers=workers,
         overlap_mode=overlap_mode, n_strips=3 if overlap_mode == "blocked"
-        else None, align_impl=align_impl, kmer_impl=kmer_impl,
-        spgemm_impl=spgemm_impl)
+        else None)
 
 
-COMBOS = list(itertools.product(EXECUTORS, OVERLAP_MODES, ALIGN_IMPLS,
-                                KMER_IMPLS))
+COMBOS = list(itertools.product(EXECUTORS, OVERLAP_MODES))
 
 
 @pytest.mark.parametrize(
-    "executor_workers,overlap_mode,align_impl,kmer_impl", COMBOS,
-    ids=[f"{e[0]}{e[1]}-{o}-a{a}-k{km}" for e, o, a, km in COMBOS])
-def test_golden_pipeline(golden_reads, executor_workers, overlap_mode,
-                         align_impl, kmer_impl):
+    "executor_workers,overlap_mode", COMBOS,
+    ids=[f"{e[0]}{e[1]}-{o}" for e, o in COMBOS])
+def test_golden_pipeline(golden_reads, executor_workers, overlap_mode):
     executor, workers = executor_workers
     result = run_pipeline(golden_reads,
-                          _config(executor, workers, overlap_mode,
-                                  align_impl, kmer_impl))
+                          _config(executor, workers, overlap_mode))
     got = {
         "S": _sha(result.S.row, result.S.col, result.S.vals),
         "contigs": _contig_digest(result.string_graph),
@@ -157,66 +149,35 @@ def test_golden_pipeline(golden_reads, executor_workers, overlap_mode,
         "tracker": _tracker_digest(result.tracker),
         "peaks": _peaks_digest(result.timer),
     }
-    # Both SpGEMM engines are golden (the CI matrix pins each); only the
-    # TrReduction live-set peak legitimately differs between them.
-    peaks_key = "peaks" if resolve_spgemm_impl("auto") == "masked" \
-        else "peaks_esc"
     expect = {
         "S": GOLDEN["S"],
         "contigs": GOLDEN["contigs"],
         "counts": GOLDEN["counts"],
         "tracker": GOLDEN["tracker"][overlap_mode],
-        "peaks": GOLDEN[peaks_key][overlap_mode],
+        "peaks": GOLDEN["peaks"][overlap_mode],
     }
     assert got == expect, (
         f"golden pipeline drift under executor={executor}/{workers} "
-        f"overlap={overlap_mode} align={align_impl} kmer={kmer_impl}.\n"
+        f"overlap={overlap_mode}.\n"
         f"If this change is intentional, update GOLDEN to:\n{got!r}")
 
 
-@pytest.mark.parametrize("overlap_mode", OVERLAP_MODES)
-def test_golden_pipeline_esc_engine(golden_reads, overlap_mode):
-    """The ESC oracle engine still reproduces the full pre-PR-6 goldens,
-    including the unmasked TrReduction peak."""
-    result = run_pipeline(golden_reads,
-                          _config("serial", 1, overlap_mode, "batch",
-                                  "batch", spgemm_impl="esc"))
-    got = {
-        "S": _sha(result.S.row, result.S.col, result.S.vals),
-        "contigs": _contig_digest(result.string_graph),
-        "counts": (result.nnz_a, result.nnz_c, result.nnz_r, result.nnz_s),
-        "tracker": _tracker_digest(result.tracker),
-        "peaks": _peaks_digest(result.timer),
-    }
-    expect = {
-        "S": GOLDEN["S"],
-        "contigs": GOLDEN["contigs"],
-        "counts": GOLDEN["counts"],
-        "tracker": GOLDEN["tracker"][overlap_mode],
-        "peaks": GOLDEN["peaks_esc"][overlap_mode],
-    }
-    assert got == expect, (
-        f"golden pipeline drift under spgemm_impl=esc "
-        f"overlap={overlap_mode}.\nIf intentional, update GOLDEN to:\n"
-        f"{got!r}")
-
-
-@pytest.mark.parametrize("align_impl", ALIGN_IMPLS)
-@pytest.mark.parametrize("kmer_impl", KMER_IMPLS)
-def test_golden_overlap_r(golden_reads, align_impl, kmer_impl):
+@pytest.mark.parametrize("align_engine", list(ALIGN_ENGINES))
+@pytest.mark.parametrize("kmer_engine", list(KMER_ENGINES))
+def test_golden_overlap_r(golden_reads, align_engine, kmer_engine):
     """R itself (not just its cardinality) matches the stored digest for
-    every engine combination."""
+    every combination of product and reference stage engines."""
+    count_kmers, build_a_matrix = KMER_ENGINES[kmer_engine]
     comm = SimComm(NPROCS, CommTracker(NPROCS))
     timer = StageTimer()
-    table = count_kmers(golden_reads, K, comm, timer, upper=KMER_UPPER,
-                        impl=kmer_impl)
+    table = count_kmers(golden_reads, K, comm, timer, upper=KMER_UPPER)
     A = build_a_matrix(golden_reads, table, ProcessGrid2D(NPROCS), comm,
-                       timer, impl=kmer_impl)
-    C = candidate_overlaps(A, comm, timer)
-    R = align_candidates(C, golden_reads, K, comm, timer, mode="xdrop",
-                         fuzz=60, impl=align_impl)
+                       timer)
+    C = overlap.candidate_overlaps(A, comm, timer)
+    R = ALIGN_ENGINES[align_engine](C, golden_reads, K, comm, timer,
+                                    mode="xdrop", fuzz=60)
     g = R.to_global()
     got = _sha(g.row, g.col, g.vals)
     assert got == GOLDEN["R"], (
-        f"golden R drift under align={align_impl} kmer={kmer_impl}; "
+        f"golden R drift under align={align_engine} kmer={kmer_engine}; "
         f"new digest {got}")

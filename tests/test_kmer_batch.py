@@ -1,37 +1,43 @@
 """Parity suite: the batched SoA k-mer engine vs the dict-loop oracle.
 
-``kmer_impl="batch"`` must be a pure performance axis: the reliable
-:class:`~repro.seqs.kmer_counter.KmerTable`, the A matrix, and the
-communication records have to be byte-identical to the per-read / per-key
-reference for every process count, batch count, multiplicity window,
-executor, and adversarial input shape (intra-batch duplicates, canonical
-self-complement k-mers, empty ranks, all-unreliable tables).
+The reliable :class:`~repro.seqs.kmer_counter.KmerTable`, the A matrix, and
+the communication records have to be byte-identical to the per-read /
+per-key reference (``tests/reference/kmer.py``) for every process count,
+batch count, multiplicity window, executor, and adversarial input shape
+(intra-batch duplicates, canonical self-complement k-mers, empty ranks,
+all-unreliable tables).
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.overlap import build_a_matrix
+import reference.kmer
+from repro.core import overlap
 from repro.exec import get_executor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
+from repro.seqs import kmer_counter
 from repro.seqs.dna import encode
 from repro.seqs.fasta import ReadSet
-from repro.seqs.kmer_counter import (KmerTable, count_kmers,
-                                     resolve_kmer_impl)
+from repro.seqs.kmer_counter import KmerTable
 from repro.seqs.kmers import read_kmers, read_kmers_batch
+
+#: The two engines under test: "loop" is the per-read / per-key reference.
+COUNTERS = {"loop": reference.kmer.count_kmers,
+            "batch": kmer_counter.count_kmers}
+A_BUILDERS = {"loop": reference.kmer.build_a_matrix,
+              "batch": overlap.build_a_matrix}
 
 def _readset(arrays):
     return ReadSet([f"r{i}" for i in range(len(arrays))],
                    [np.asarray(a, dtype=np.uint8) for a in arrays])
 
 
-def _count(reads, impl, *, P=1, batches=1, lower=2, upper=10, executor=None):
+def _count(reads, engine, *, P=1, batches=1, lower=2, upper=10, executor=None):
     tracker = CommTracker(P)
     comm = SimComm(P, tracker)
-    table = count_kmers(reads, 5, comm, StageTimer(), batches=batches,
-                        lower=lower, upper=upper, executor=executor,
-                        impl=impl)
+    table = COUNTERS[engine](reads, 5, comm, StageTimer(), batches=batches,
+                           lower=lower, upper=upper, executor=executor)
     return table, tracker
 
 
@@ -137,10 +143,9 @@ def test_canonical_self_complement_kmers():
     # ACGT's reverse complement is ACGT.
     pal = encode("ACGT")
     reads = ReadSet(["p1", "p2"], [pal.copy(), pal.copy()])
-    for impl in ("loop", "batch"):
+    for engine in ("loop", "batch"):
         comm = SimComm(1, CommTracker(1))
-        table = count_kmers(reads, 4, comm, StageTimer(), upper=10,
-                            impl=impl)
+        table = COUNTERS[engine](reads, 4, comm, StageTimer(), upper=10)
         km, _ = read_kmers(pal, 4)
         assert set(km.tolist()) == set(table.kmers.tolist())
 
@@ -148,8 +153,8 @@ def test_canonical_self_complement_kmers():
 def test_empty_ranks():
     """More ranks than distinct k-mers leaves some ranks with no traffic."""
     reads = _readset([[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]])
-    for impl in ("loop", "batch"):
-        table, _ = _count(reads, impl, P=7, upper=50)
+    for engine in ("loop", "batch"):
+        table, _ = _count(reads, engine, P=7, upper=50)
         assert len(table) == 1  # only AAAAA
     tl, _ = _count(reads, "loop", P=7, upper=50)
     tb, _ = _count(reads, "batch", P=7, upper=50)
@@ -161,8 +166,8 @@ def test_all_unreliable_tables():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 4, 40)
     reads = _readset([a, a.copy(), a.copy()])  # every k-mer count 3
-    for impl in ("loop", "batch"):
-        table, _ = _count(reads, impl, P=2, lower=2, upper=2)
+    for engine in ("loop", "batch"):
+        table, _ = _count(reads, engine, P=2, lower=2, upper=2)
         assert len(table) == 0
 
 
@@ -171,21 +176,21 @@ def test_multi_batch_matches_single_batch():
     latency knob, so any round count yields the identical table."""
     rng = np.random.default_rng(9)
     reads = _readset([rng.integers(0, 4, 60) for _ in range(9)])
-    for impl in ("loop", "batch"):
-        ref, _ = _count(reads, impl, P=3, batches=1, upper=30)
+    for engine in ("loop", "batch"):
+        ref, _ = _count(reads, engine, P=3, batches=1, upper=30)
         for batches in (2, 3, 5):
-            got, _ = _count(reads, impl, P=3, batches=batches, upper=30)
+            got, _ = _count(reads, engine, P=3, batches=batches, upper=30)
             _assert_tables_equal(ref, got)
 
 
 # -- A-matrix parity ---------------------------------------------------------
 
-def _build_a(reads, table, impl, P=4, executor=None):
+def _build_a(reads, table, engine, P=4, executor=None):
     tracker = CommTracker(P)
     comm = SimComm(P, tracker)
     timer = StageTimer()
-    A = build_a_matrix(reads, table, ProcessGrid2D(P), comm, timer,
-                       executor=executor, impl=impl)
+    A = A_BUILDERS[engine](reads, table, ProcessGrid2D(P), comm, timer,
+                         executor=executor)
     return A.to_global(), tracker, timer
 
 
@@ -193,7 +198,7 @@ def test_a_matrix_parity(clean_dataset):
     _genome, reads, _layout = clean_dataset
     sub = reads.subset(np.arange(40))
     comm = SimComm(1, CommTracker(1))
-    table = count_kmers(sub, 17, comm, StageTimer(), upper=40)
+    table = kmer_counter.count_kmers(sub, 17, comm, StageTimer(), upper=40)
     ga, tra, tma = _build_a(sub, table, "loop")
     gb, trb, tmb = _build_a(sub, table, "batch")
     assert np.array_equal(ga.row, gb.row)
@@ -209,7 +214,8 @@ def test_a_matrix_parity_palindromes_and_executors():
     base = rng.integers(0, 4, 50)
     reads = _readset([base, base.copy(), np.array([0, 1, 2, 3] * 5)])
     comm = SimComm(1, CommTracker(1))
-    table = count_kmers(reads, 4, comm, StageTimer(), upper=100)
+    table = kmer_counter.count_kmers(reads, 4, comm, StageTimer(),
+                                     upper=100)
     ga, _, _ = _build_a(reads, table, "loop", P=1)
     with get_executor("thread", 2) as ex:
         gb, _, _ = _build_a(reads, table, "batch", P=1, executor=ex)
@@ -222,21 +228,6 @@ def test_a_matrix_empty_table():
     reads = _readset([[0, 1, 2, 3, 0, 1]])
     table = KmerTable(k=5, kmers=np.empty(0, np.uint64),
                       counts=np.empty(0, np.int64), lower=2, upper=4)
-    for impl in ("loop", "batch"):
-        g, _, _ = _build_a(reads, table, impl, P=1)
+    for engine in ("loop", "batch"):
+        g, _, _ = _build_a(reads, table, engine, P=1)
         assert g.nnz == 0
-
-
-# -- resolver ----------------------------------------------------------------
-
-def test_resolve_kmer_impl(monkeypatch):
-    assert resolve_kmer_impl("loop") == "loop"
-    assert resolve_kmer_impl("batch") == "batch"
-    monkeypatch.delenv("REPRO_KMER_IMPL", raising=False)
-    assert resolve_kmer_impl(None) == "batch"
-    assert resolve_kmer_impl("auto") == "batch"
-    monkeypatch.setenv("REPRO_KMER_IMPL", "loop")
-    assert resolve_kmer_impl("auto") == "loop"
-    assert resolve_kmer_impl("batch") == "batch"  # explicit beats env
-    with pytest.raises(ValueError):
-        resolve_kmer_impl("vectorized")

@@ -34,8 +34,7 @@ def _count(reads, *, P=1, batches=1, scheme=None, executor=None,
     tracker = CommTracker(P)
     comm = SimComm(P, tracker)
     table = count_kmers(reads, 17, comm, StageTimer(), batches=batches,
-                        lower=2, upper=40, executor=executor,
-                        impl="batch", scheme=scheme,
+                        lower=2, upper=40, executor=executor, scheme=scheme,
                         table_budget=table_budget, spill_dir=spill_dir)
     return table, tracker
 

@@ -1,13 +1,15 @@
 """Masked SpGEMM engine: kernel parity, dispatch, and pipeline identity.
 
-The contract under test (PR 6): for every shipped semiring, any sparsity
+The contract under test: for every shipped semiring, any sparsity
 pattern, and any mask pattern, ``spgemm_esc_masked(A, B, sr, mask)`` is
 **byte-identical** to ``mask_select(spgemm_esc(A, B, sr), mask)`` — same
 coordinates, same int64 values, same entry order — and the mask threads
 through every layer (Backend.spgemm, SUMMA, the transitive-reduction
-squaring, the full pipeline) without changing a single output byte.  The
-only observable differences are performance artifacts: kernel-dispatch
-counters and the recorded ``TrReduction`` live-set peak.
+squaring, the full pipeline) without changing a single output byte.  At
+the pipeline level the masked engine is pinned against the unmasked
+reference products of ``tests/reference/spgemm.py``; the only observable
+differences are performance artifacts: kernel-dispatch counters and the
+recorded ``TrReduction`` live-set peak.
 """
 
 import numpy as np
@@ -15,20 +17,24 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import reference.spgemm
+from repro.core import blocked, pipeline
+from repro.core.overlap import (align_candidates, build_a_matrix,
+                                candidate_overlaps)
 from repro.core.pipeline import PipelineConfig, run_pipeline
 from repro.core.semirings import BidirectedMinPlus, PositionsSemiring
+from repro.core.transitive_reduction import transitive_reduction
 from repro.dsparse.backend import get_backend
 from repro.dsparse.coomat import CooMat
 from repro.dsparse.distmat import DistMat
-from repro.dsparse.masked import (DEFAULT_SPGEMM_IMPL, SPGEMM_IMPL_ENV,
-                                  SPGEMM_IMPLS, mask_select,
-                                  resolve_spgemm_impl, spgemm_esc_masked)
+from repro.dsparse.masked import mask_select, spgemm_esc_masked
 from repro.dsparse.semiring import BoolOr, MinPlus, PlusTimes
 from repro.dsparse.spgemm import packed_order, spgemm_esc
 from repro.dsparse.summa import summa
 from repro.exec import SERIAL, ThreadExecutor
 from repro.mpisim import CommTracker, ProcessGrid2D, SimComm, StageTimer
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
+from repro.seqs.kmer_counter import count_kmers
 
 NUMPY = get_backend("numpy")
 SCIPY = get_backend("scipy")
@@ -72,39 +78,6 @@ def _assert_identical(a: CooMat, b: CooMat):
     assert np.array_equal(a.col, b.col)
     assert np.array_equal(a.vals, b.vals)
     assert a.vals.dtype == b.vals.dtype == np.int64
-
-
-# -- engine resolution ---------------------------------------------------------
-
-def test_resolve_defaults_to_masked(monkeypatch):
-    monkeypatch.delenv(SPGEMM_IMPL_ENV, raising=False)
-    assert DEFAULT_SPGEMM_IMPL == "masked"
-    assert resolve_spgemm_impl(None) == "masked"
-    assert resolve_spgemm_impl("auto") == "masked"
-
-
-def test_resolve_explicit_passthrough():
-    for impl in SPGEMM_IMPLS:
-        assert resolve_spgemm_impl(impl) == impl
-
-
-def test_resolve_honors_environment(monkeypatch):
-    monkeypatch.setenv(SPGEMM_IMPL_ENV, "esc")
-    assert resolve_spgemm_impl("auto") == "esc"
-    assert resolve_spgemm_impl(None) == "esc"
-    # Explicit names beat the environment.
-    assert resolve_spgemm_impl("masked") == "masked"
-    # env "auto" (or garbage whitespace) falls back to the default.
-    monkeypatch.setenv(SPGEMM_IMPL_ENV, "  AUTO ")
-    assert resolve_spgemm_impl("auto") == DEFAULT_SPGEMM_IMPL
-
-
-def test_resolve_rejects_unknown(monkeypatch):
-    with pytest.raises(ValueError, match="unknown spgemm impl"):
-        resolve_spgemm_impl("gustavson-masked")
-    monkeypatch.setenv(SPGEMM_IMPL_ENV, "bogus")
-    with pytest.raises(ValueError, match="unknown spgemm impl"):
-        resolve_spgemm_impl("auto")
 
 
 # -- mask_select ---------------------------------------------------------------
@@ -359,18 +332,30 @@ def tiny_reads():
     return reads
 
 
+def _run_on_reference_engine(monkeypatch, reads, cfg):
+    """``run_pipeline`` with the unmasked reference products swapped in
+    for the candidate product (both overlap modes) and the squaring."""
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "candidate_overlaps",
+                  reference.spgemm.candidate_overlaps)
+        m.setattr(blocked, "summa_positions",
+                  reference.spgemm.summa_positions)
+        m.setattr(pipeline, "transitive_reduction",
+                  reference.spgemm.transitive_reduction)
+        return run_pipeline(reads, cfg)
+
+
 @pytest.mark.parametrize("overlap_mode", ["monolithic", "blocked"])
-def test_pipeline_byte_identical_across_engines(tiny_reads, overlap_mode):
-    results = {}
-    for impl in SPGEMM_IMPLS:
-        cfg = PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
-                             depth_hint=9, error_hint=0.0,
-                             overlap_mode=overlap_mode,
-                             n_strips=3 if overlap_mode == "blocked"
-                             else None, spgemm_impl=impl)
-        results[impl] = run_pipeline(tiny_reads, cfg)
-    esc, masked = results["esc"], results["masked"]
+def test_pipeline_byte_identical_across_engines(monkeypatch, tiny_reads,
+                                                overlap_mode):
+    cfg = PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
+                         depth_hint=9, error_hint=0.0,
+                         overlap_mode=overlap_mode,
+                         n_strips=3 if overlap_mode == "blocked" else None)
+    masked = run_pipeline(tiny_reads, cfg)
+    esc = _run_on_reference_engine(monkeypatch, tiny_reads, cfg)
     _assert_identical(esc.S, masked.S)
+    _assert_identical(esc.R, masked.R)
     assert (esc.nnz_a, esc.nnz_c, esc.nnz_r, esc.nnz_s) == \
            (masked.nnz_a, masked.nnz_c, masked.nnz_r, masked.nnz_s)
     assert esc.tr_rounds == masked.tr_rounds
@@ -385,34 +370,43 @@ def test_pipeline_byte_identical_across_engines(tiny_reads, overlap_mode):
     assert peaks_masked["SpGEMM"] == peaks_esc["SpGEMM"]
 
 
-def test_pipeline_reports_engine_and_paths(tiny_reads):
+def test_reference_products_match_on_tiny_reads(tiny_reads):
+    """C and S from the unmasked reference products equal the masked
+    engine's, entry for entry, with identical traffic."""
+    P = 4
+    grid = ProcessGrid2D(P)
+    setup = SimComm(P, CommTracker(P))
+    table = count_kmers(tiny_reads, 17, setup, StageTimer(), upper=12)
+    A = build_a_matrix(tiny_reads, table, grid, setup, StageTimer())
+    got = {}
+    for name, cand, tr in (
+            ("masked", candidate_overlaps, transitive_reduction),
+            ("esc", reference.spgemm.candidate_overlaps,
+             reference.spgemm.transitive_reduction)):
+        comm = SimComm(P, CommTracker(P))
+        C = cand(A, comm, StageTimer())
+        R = align_candidates(C, tiny_reads, 17, comm, StageTimer(),
+                             mode="chain", fuzz=20)
+        res = tr(R, comm, StageTimer(), fuzz=20)
+        got[name] = (C.to_global(), res.S.to_global(), res.rounds,
+                     comm.tracker.summary())
+    C_m, S_m, rounds_m, comm_m = got["masked"]
+    C_e, S_e, rounds_e, comm_e = got["esc"]
+    assert C_m.nnz > 0 and S_m.nnz > 0
+    _assert_identical(C_e, C_m)
+    _assert_identical(S_e, S_m)
+    assert rounds_e == rounds_m
+    assert comm_e == comm_m
+
+
+def test_pipeline_reports_engine_and_paths(monkeypatch, tiny_reads):
     cfg = PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
-                         depth_hint=9, error_hint=0.0, spgemm_impl="masked")
-    result = run_pipeline(tiny_reads, cfg)
-    assert result.spgemm_impl == "masked"
-    paths = result.spgemm_paths
+                         depth_hint=9, error_hint=0.0)
+    paths = run_pipeline(tiny_reads, cfg).spgemm_paths
     # The overlap product splits into a native count pass + a masked ESC
     # seed pass; the TR squaring is masked ESC throughout.
     assert set(paths["SpGEMM"]) == {"csr", "masked_esc"}
     assert set(paths["TrReduction"]) == {"masked_esc"}
-    esc = run_pipeline(tiny_reads,
-                       PipelineConfig(nprocs=4, align_mode="chain", fuzz=20,
-                                      depth_hint=9, error_hint=0.0,
-                                      spgemm_impl="esc"))
-    assert esc.spgemm_impl == "esc"
+    esc = _run_on_reference_engine(monkeypatch, tiny_reads, cfg)
     assert set(esc.spgemm_paths["SpGEMM"]) == {"esc"}
     assert set(esc.spgemm_paths["TrReduction"]) == {"esc"}
-
-
-def test_pipeline_rejects_unknown_engine(tiny_reads):
-    cfg = PipelineConfig(nprocs=1, spgemm_impl="nope")
-    with pytest.raises(ValueError, match="unknown spgemm impl"):
-        run_pipeline(tiny_reads, cfg)
-
-
-def test_cli_exposes_spgemm_flag():
-    from repro.cli import build_parser
-    args = build_parser().parse_args(["stats", "x.fa",
-                                      "--spgemm-impl", "esc"])
-    assert args.spgemm_impl == "esc"
-    assert build_parser().parse_args(["stats", "x.fa"]).spgemm_impl == "auto"

@@ -13,6 +13,7 @@ from repro.core.pipeline import PipelineConfig
 from repro.seqs import ErrorModel, GenomeSpec, ReadSimSpec, simulate_reads
 from repro.seqs.dna import decode
 from repro.service import AssemblyService, ServiceConfig, make_server
+from repro.service.server import BadBatch
 
 K = 17
 NPROCS = 4
@@ -239,3 +240,46 @@ def test_malformed_posts_leave_version_untouched(base_url):
     status, body = _get(f"{base_url}/version")
     assert status == 200
     assert body["version"] == 0
+
+
+def _with_n_run(seq: str, at: int, length: int = 20) -> str:
+    return seq[:at] + "N" * length + seq[at + length:]
+
+
+def test_ingest_refuses_non_acgt_bases(service, server_reads):
+    """A streamed N run is refused like FASTA ingest refuses it — never
+    rewritten to A — and the refused batch commits nothing."""
+    first = _batch_payload(server_reads, 0, 10)["reads"]
+    service.ingest([r["name"] for r in first], [r["seq"] for r in first])
+    before = service.stats()
+    bad = _batch_payload(server_reads, 10, 14)["reads"]
+    bad[2]["seq"] = _with_n_run(bad[2]["seq"], 99)
+    with pytest.raises(BadBatch) as exc:
+        service.ingest([r["name"] for r in bad], [r["seq"] for r in bad])
+    msg = str(exc.value)
+    assert f"read {bad[2]['name']!r} (batch index 2)" in msg
+    assert "non-ACGT base 'N' at position 100" in msg
+    after = service.stats()
+    assert after["version"] == before["version"] == 1
+    assert after["counts"] == before["counts"]
+    # The store is untouched: the same batch, fixed, ingests normally.
+    good = _batch_payload(server_reads, 10, 14)["reads"]
+    summary = service.ingest([r["name"] for r in good],
+                             [r["seq"] for r in good])
+    assert summary["version"] == 2 and summary["ingested"] == 4
+
+
+def test_http_ingest_non_acgt_is_structured_400(base_url, server_reads):
+    payload = _batch_payload(server_reads, 0, 3)
+    payload["reads"][1]["seq"] = _with_n_run(payload["reads"][1]["seq"], 0,
+                                             length=1)
+    with pytest.raises(urllib.error.HTTPError) as e:
+        _post(f"{base_url}/reads", payload)
+    assert e.value.code == 400
+    body = json.loads(e.value.read())
+    assert body["code"] == "bad-batch"
+    assert f"read {payload['reads'][1]['name']!r} (batch index 1)" in \
+        body["error"]
+    assert "at position 1" in body["error"]
+    status, version = _get(f"{base_url}/version")
+    assert status == 200 and version["version"] == 0

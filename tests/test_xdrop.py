@@ -1,12 +1,17 @@
-"""Tests for x-drop alignment (fast LV engine vs exact DP reference)."""
+"""Tests for the per-pair reference x-drop engines (greedy LV vs exact DP).
+
+These are the 1D engines the batched sweep and the compiled kernel are
+pinned against (``tests/test_align_batch.py``), so their own behavior is
+pinned here."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference.align import (chain_extend, seed_extend_align, xdrop_extend,
+                             xdrop_extend_dp)
+from repro.align.xdrop import Scoring
 from repro.seqs.dna import encode, revcomp
-from repro.align.xdrop import (Scoring, chain_extend, seed_extend_align,
-                               xdrop_extend, xdrop_extend_dp)
 
 SC = Scoring()
 
